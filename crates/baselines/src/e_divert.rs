@@ -150,8 +150,8 @@ impl PrioritizedReplay {
 /// either way.
 #[derive(Debug, Clone)]
 enum Recurrent {
-    Gru(GruCell),
-    Lstm(LstmCell),
+    Gru(Box<GruCell>),
+    Lstm(Box<LstmCell>),
 }
 
 impl Recurrent {
@@ -162,8 +162,8 @@ impl Recurrent {
         rng: &mut R,
     ) -> Self {
         match kind {
-            RecurrentKind::Gru => Recurrent::Gru(GruCell::new(in_dim, hidden, rng)),
-            RecurrentKind::Lstm => Recurrent::Lstm(LstmCell::new(in_dim, hidden, rng)),
+            RecurrentKind::Gru => Recurrent::Gru(Box::new(GruCell::new(in_dim, hidden, rng))),
+            RecurrentKind::Lstm => Recurrent::Lstm(Box::new(LstmCell::new(in_dim, hidden, rng))),
         }
     }
 
@@ -407,8 +407,8 @@ impl EDivert {
             let mut actions_env = Vec::with_capacity(k);
             let mut raw_actions = Vec::with_capacity(k);
             let mut hiddens_before = Vec::with_capacity(k);
-            for a in 0..k {
-                let obs_m = Matrix::row_vector(&prev_obs[a]);
+            for (a, obs) in prev_obs.iter().enumerate().take(k) {
+                let obs_m = Matrix::row_vector(obs);
                 let h_m = Matrix::row_vector(&self.agents[a].hidden);
                 let (act, h_next) = self.agents[a].actor.forward_inference(&obs_m, &h_m);
                 hiddens_before.push(self.agents[a].hidden.clone());
@@ -585,9 +585,7 @@ mod tests {
 
     fn env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 12;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 12, stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 5)
     }
 

@@ -193,8 +193,8 @@ pub fn table7_complexity(h: &HarnessConfig) {
         let reps = 200usize;
         let start = Instant::now();
         for _ in 0..reps {
-            for k in 0..env.num_uvs() {
-                std::hint::black_box(t.policy_action(k, &obs[k]));
+            for (k, o) in obs.iter().enumerate().take(env.num_uvs()) {
+                std::hint::black_box(t.policy_action(k, o));
             }
         }
         let per_slot = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
@@ -218,8 +218,8 @@ pub fn table7_complexity(h: &HarnessConfig) {
         let reps = 200usize;
         let start = Instant::now();
         for _ in 0..reps {
-            for k in 0..env.num_uvs() {
-                std::hint::black_box(learner.action(k, &obs[k]));
+            for (k, o) in obs.iter().enumerate().take(env.num_uvs()) {
+                std::hint::black_box(learner.action(k, o));
             }
         }
         let per_slot = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
@@ -419,8 +419,7 @@ fn render_variant(
         &trajectories[..num_uavs],
         &trajectories[num_uavs..],
         env.start(),
-        72,
-        24,
+        (72, 24),
     );
     let m = env.metrics();
     format!(
@@ -542,8 +541,8 @@ pub fn abl_gae(h: &HarnessConfig) {
     });
     for (l, (m, secs)) in lambdas.iter().zip(results.iter()) {
         let label = match *l {
-            x if x == 0.0 => "one-step TD (Eqn 24)".to_string(),
-            x if x == 1.0 => "Monte-Carlo (l=1)".to_string(),
+            0.0 => "one-step TD (Eqn 24)".to_string(),
+            1.0 => "Monte-Carlo (l=1)".to_string(),
             x => format!("GAE l={x}"),
         };
         w.line(metrics_row(&label, m));

@@ -273,10 +273,7 @@ mod tests {
     }
 
     fn tiny_env_cfg() -> EnvConfig {
-        let mut c = EnvConfig::default();
-        c.horizon = 10;
-        c.stochastic_fading = false;
-        c
+        EnvConfig { horizon: 10, stochastic_fading: false, ..EnvConfig::default() }
     }
 
     #[test]

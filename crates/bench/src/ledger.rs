@@ -47,7 +47,7 @@ pub struct HistoryEntry {
 }
 
 /// Where the ledger lives: `BENCH_history.jsonl` in the
-/// [`bench_dir`](crate::results::bench_dir).
+/// [`bench_dir`].
 pub fn history_path() -> PathBuf {
     bench_dir().join("BENCH_history.jsonl")
 }

@@ -148,14 +148,11 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut p = ChannelParams::default();
-        p.subchannels = 0;
+        let p = ChannelParams { subchannels: 0, ..ChannelParams::default() };
         assert!(p.validate().is_err());
-        let mut p = ChannelParams::default();
-        p.bandwidth_hz = -1.0;
+        let p = ChannelParams { bandwidth_hz: -1.0, ..ChannelParams::default() };
         assert!(p.validate().is_err());
-        let mut p = ChannelParams::default();
-        p.alpha_g2g = 0.5;
+        let p = ChannelParams { alpha_g2g: 0.5, ..ChannelParams::default() };
         assert!(p.validate().is_err());
     }
 }

@@ -8,6 +8,8 @@ use agsc_nn::{Activation, Adam, DiagGaussian, Init, Matrix, Mlp, Param};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::config::TrainConfig;
+
 /// Which of the agent's critics to address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CriticKind {
@@ -62,19 +64,18 @@ pub struct CriticStats {
 }
 
 impl PpoAgent {
-    /// Build an agent. `critic_in_dim` is the individual critic's input size
+    /// Build an agent with `cfg`'s hidden widths, initial log-σ and
+    /// learning rates. `critic_in_dim` is the individual critic's input size
     /// (obs dim for IPPO, global-state dim for the centralised-critic
     /// variant); the neighbourhood critics always take the observation.
     pub fn new<R: Rng + ?Sized>(
         obs_dim: usize,
         critic_in_dim: usize,
         action_dim: usize,
-        hidden: &[usize],
-        init_log_std: f32,
-        actor_lr: f32,
-        critic_lr: f32,
+        cfg: &TrainConfig,
         rng: &mut R,
     ) -> Self {
+        let hidden = &cfg.hidden;
         let sizes = |input: usize, output: usize| {
             let mut s = vec![input];
             s.extend_from_slice(hidden);
@@ -91,12 +92,12 @@ impl PpoAgent {
         );
         Self {
             actor,
-            log_std: Param::new(Matrix::full(1, action_dim, init_log_std)),
+            log_std: Param::new(Matrix::full(1, action_dim, cfg.init_log_std)),
             critic: Mlp::tanh(&sizes(critic_in_dim, 1), rng),
             critic_he: Mlp::tanh(&sizes(obs_dim, 1), rng),
             critic_ho: Mlp::tanh(&sizes(obs_dim, 1), rng),
-            actor_opt: Adam::new(actor_lr),
-            critic_opt: Adam::new(critic_lr),
+            actor_opt: Adam::new(cfg.actor_lr),
+            critic_opt: Adam::new(cfg.critic_lr),
         }
     }
 
@@ -140,17 +141,17 @@ impl PpoAgent {
     /// One clipped-PPO ascent step on the surrogate objective (Eqn 25/28).
     ///
     /// `advantages` are whatever advantage the caller chose — `A^k` for the
-    /// base module or the cooperation-aware `A^k_CO` for h-CoPO.
+    /// base module or the cooperation-aware `A^k_CO` for h-CoPO. `cfg`
+    /// supplies the clip range, entropy bonus and gradient-norm clip.
     pub fn ppo_update(
         &mut self,
         obs: &Matrix,
         actions: &Matrix,
         old_log_probs: &[f32],
         advantages: &[f32],
-        clip_eps: f32,
-        entropy_coef: f32,
-        max_grad_norm: f32,
+        cfg: &TrainConfig,
     ) -> PpoStats {
+        let TrainConfig { clip_eps, entropy_coef, max_grad_norm, .. } = *cfg;
         let b = obs.rows();
         assert!(b > 0, "empty PPO batch");
         assert_eq!(actions.rows(), b);
@@ -305,8 +306,25 @@ mod tests {
         ChaCha8Rng::seed_from_u64(21)
     }
 
+    /// Clip 0.2, no entropy bonus, a loose gradient clip.
+    fn ppo_cfg() -> TrainConfig {
+        TrainConfig {
+            clip_eps: 0.2,
+            entropy_coef: 0.0,
+            max_grad_norm: 10.0,
+            ..TrainConfig::default()
+        }
+    }
+
     fn agent() -> PpoAgent {
-        PpoAgent::new(4, 4, 2, &[16], -0.5, 3e-3, 1e-2, &mut rng())
+        let cfg = TrainConfig {
+            hidden: vec![16],
+            init_log_std: -0.5,
+            actor_lr: 3e-3,
+            critic_lr: 1e-2,
+            ..TrainConfig::default()
+        };
+        PpoAgent::new(4, 4, 2, &cfg, &mut rng())
     }
 
     #[test]
@@ -345,7 +363,7 @@ mod tests {
 
         let before = lp_of(&a);
         for _ in 0..50 {
-            a.ppo_update(&obs, &actions, &old_lp, &adv, 0.2, 0.0, 10.0);
+            a.ppo_update(&obs, &actions, &old_lp, &adv, &ppo_cfg());
         }
         let after = lp_of(&a);
         assert!(after > before, "good action log-prob should rise: {before} → {after}");
@@ -396,7 +414,7 @@ mod tests {
         let old_lp = DiagGaussian::new(&mean, a.log_std()).log_prob(&actions);
 
         // First update starts at the behaviour policy: ratio 1, KL ≈ 0.
-        let s0 = a.ppo_update(&obs, &actions, &old_lp, &[-1.0, -1.0], 0.2, 0.0, 10.0);
+        let s0 = a.ppo_update(&obs, &actions, &old_lp, &[-1.0, -1.0], &ppo_cfg());
         assert!((s0.mean_ratio - 1.0).abs() < 1e-5);
         assert!(s0.approx_kl.abs() < 1e-6, "pre-step KL must be ~0, got {}", s0.approx_kl);
         assert!(s0.grad_norm > 0.0, "non-zero advantages must produce gradient");
@@ -406,7 +424,7 @@ mod tests {
         // turns strictly positive.
         let mut last = s0;
         for _ in 0..30 {
-            last = a.ppo_update(&obs, &actions, &old_lp, &[-1.0, -1.0], 0.2, 0.0, 10.0);
+            last = a.ppo_update(&obs, &actions, &old_lp, &[-1.0, -1.0], &ppo_cfg());
         }
         assert!(last.approx_kl > 0.0, "diverged policy must show positive KL");
         assert!(last.entropy.is_finite());
@@ -443,7 +461,7 @@ mod tests {
         let actions = Matrix::from_vec(2, 2, vec![3.0, 3.0, 3.0, 3.0]); // far-out actions
         let old_lp = [-10.0f32, -10.0];
         for _ in 0..100 {
-            a.ppo_update(&obs, &actions, &old_lp, &[5.0, 5.0], 0.2, 0.0, 10.0);
+            a.ppo_update(&obs, &actions, &old_lp, &[5.0, 5.0], &ppo_cfg());
         }
         for &ls in a.log_std() {
             assert!((-3.0..=1.0).contains(&ls), "log_std escaped: {ls}");

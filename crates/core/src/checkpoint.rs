@@ -526,9 +526,7 @@ mod tests {
 
     fn env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 10;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 10, stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 5)
     }
 

@@ -274,14 +274,11 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_values() {
-        let mut c = TrainConfig::default();
-        c.gamma = 1.5;
+        let c = TrainConfig { gamma: 1.5, ..TrainConfig::default() };
         assert!(c.validate().is_err());
-        let mut c = TrainConfig::default();
-        c.policy_epochs = 0;
+        let c = TrainConfig { policy_epochs: 0, ..TrainConfig::default() };
         assert!(c.validate().is_err());
-        let mut c = TrainConfig::default();
-        c.neighbor_range_frac = 2.0;
+        let c = TrainConfig { neighbor_range_frac: 2.0, ..TrainConfig::default() };
         assert!(c.validate().is_err());
     }
 }

@@ -166,7 +166,7 @@ impl Diagnostics {
 
         self.history.push(iter, stats);
         self.observed += 1;
-        if self.cfg.report_every > 0 && self.observed % self.cfg.report_every == 0 {
+        if self.cfg.report_every > 0 && self.observed.is_multiple_of(self.cfg.report_every) {
             eprint!("{}", self.history.render());
         }
     }

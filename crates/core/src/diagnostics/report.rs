@@ -52,6 +52,9 @@ impl HealthSample {
     }
 }
 
+/// One rendered metric: its label and how to read it off a sample.
+type Column = (&'static str, fn(&HealthSample) -> f32);
+
 fn mean(xs: &[f32]) -> f32 {
     if xs.is_empty() {
         f32::NAN
@@ -108,7 +111,7 @@ impl HealthHistory {
             "── learning health · iters {first}..{last} · {} skipped · {} anomalies ──\n",
             self.total_skipped, self.total_anomalies,
         );
-        let rows: [(&str, fn(&HealthSample) -> f32); 8] = [
+        let rows: [Column; 8] = [
             ("reward", |s| s.reward),
             ("entropy", |s| s.entropy),
             ("approx_kl", |s| s.approx_kl),

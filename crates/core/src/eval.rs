@@ -56,9 +56,7 @@ mod tests {
 
     fn env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 15;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 15, stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 5)
     }
 
@@ -73,8 +71,7 @@ mod tests {
     #[test]
     fn evaluate_trained_policy_runs() {
         let mut e = env();
-        let mut cfg = TrainConfig::default();
-        cfg.hidden = vec![16];
+        let cfg = TrainConfig { hidden: vec![16], ..TrainConfig::default() };
         let t = HiMadrlTrainer::new(&e, cfg, 5, 3).unwrap();
         let m = evaluate(&t, &mut e, 2, 100);
         assert!(m.data_collection_ratio.is_finite());

@@ -211,8 +211,8 @@ impl Maddpg {
         while !env.is_done() {
             let mut actions = Vec::with_capacity(k);
             let mut actions_env = Vec::with_capacity(k);
-            for a in 0..k {
-                let o = Matrix::row_vector(&prev_obs[a]);
+            for (a, obs) in prev_obs.iter().enumerate().take(k) {
+                let o = Matrix::row_vector(obs);
                 let mean = self.agents[a].actor.forward_inference(&o);
                 let noise = self.cfg.exploration_noise;
                 let raw = [
@@ -405,9 +405,7 @@ mod tests {
 
     fn env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 12;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 12, stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 5)
     }
 

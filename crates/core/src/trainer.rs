@@ -129,18 +129,7 @@ impl HiMadrlTrainer {
         let critic_in = if cfg.centralized_critic { state_dim } else { obs_dim };
         let agent_count = if cfg.shared_params { 1 } else { num_agents };
         let agents = (0..agent_count)
-            .map(|_| {
-                PpoAgent::new(
-                    obs_dim,
-                    critic_in,
-                    2,
-                    &cfg.hidden,
-                    cfg.init_log_std,
-                    cfg.actor_lr,
-                    cfg.critic_lr,
-                    &mut rng,
-                )
-            })
+            .map(|_| PpoAgent::new(obs_dim, critic_in, 2, &cfg, &mut rng))
             .collect();
         let classifier = cfg.ablation.use_eoi.then(|| {
             EoiClassifier::new(
@@ -1103,15 +1092,8 @@ impl AgentInputs<'_> {
         step: &PolicyStep,
     ) -> (PpoStats, CriticStats) {
         let cfg = self.cfg;
-        let ppo = agent.ppo_update(
-            &self.obs[k],
-            &self.actions[k],
-            &self.log_probs[k],
-            &step.a_co,
-            cfg.clip_eps,
-            cfg.entropy_coef,
-            cfg.max_grad_norm,
-        );
+        let ppo =
+            agent.ppo_update(&self.obs[k], &self.actions[k], &self.log_probs[k], &step.a_co, cfg);
         let own = agent.critic_update(
             self.critic_input(k),
             &step.own_targets,
@@ -1252,18 +1234,16 @@ mod tests {
 
     fn small_env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 20; // keep tests fast
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig {
+            horizon: 20, // keep tests fast
+            stochastic_fading: false,
+            ..EnvConfig::default()
+        };
         AirGroundEnv::new(cfg, &dataset, 5)
     }
 
     fn small_train_cfg() -> TrainConfig {
-        let mut c = TrainConfig::default();
-        c.hidden = vec![32];
-        c.policy_epochs = 2;
-        c.lcf_epochs = 1;
-        c
+        TrainConfig { hidden: vec![32], policy_epochs: 2, lcf_epochs: 1, ..TrainConfig::default() }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! back, bit-exactly, plus an optional zero-run compression layer.
 //!
 //! The encoding is a fixed little-endian layout (version byte, shape
-//! header, then each field in declaration order), so a segment is a pure
+//! header, then each field in declaration order), read and written through
+//! `agsc_serve::wire`'s field codec, so a segment is a pure
 //! function of the rollout — the learner can reassemble exactly what the
 //! worker collected, and duplicate deliveries of the same (generation,
 //! env-index) segment are byte-identical and therefore harmless.
@@ -14,6 +15,7 @@
 //! worker and learner configured differently still interoperate.
 
 use agsc_madrl::Rollout;
+use agsc_serve::wire::{DecodeError, Put, Reader};
 
 use crate::error::DistError;
 
@@ -46,76 +48,11 @@ impl std::str::FromStr for Compression {
     }
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: usize) {
-        self.buf.extend_from_slice(&(v as u32).to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DistError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DistError::Codec(format!(
-                "segment truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DistError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<usize, DistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
-    }
-    fn f32(&mut self) -> Result<f32, DistError> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn f64(&mut self) -> Result<f64, DistError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-    fn finish(self) -> Result<(), DistError> {
-        if self.pos != self.buf.len() {
-            return Err(DistError::Codec(format!(
-                "{} trailing bytes after segment body",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn neighbor_sets(w: &mut Writer, sets: &[Vec<Vec<usize>>]) {
-    for per_step in sets {
-        for ns in per_step {
-            w.u32(ns.len());
-            for &n in ns {
-                w.u32(n);
-            }
+fn put_neighbor_sets(buf: &mut Vec<u8>, sets: &[Vec<Vec<usize>>]) {
+    for ns in sets.iter().flatten() {
+        buf.put_u32(ns.len() as u32);
+        for &n in ns {
+            buf.put_u32(n as u32);
         }
     }
 }
@@ -124,21 +61,14 @@ fn read_neighbor_sets(
     r: &mut Reader<'_>,
     steps: usize,
     k: usize,
-) -> Result<Vec<Vec<Vec<usize>>>, DistError> {
-    let mut sets = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let mut per_step = Vec::with_capacity(k);
-        for _ in 0..k {
-            let len = r.u32()?;
-            let mut ns = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                ns.push(r.u32()?);
-            }
-            per_step.push(ns);
-        }
-        sets.push(per_step);
-    }
-    Ok(sets)
+    cap: usize,
+) -> Result<Vec<Vec<Vec<usize>>>, DecodeError> {
+    let mut read_set = || {
+        let len = r.u32()?;
+        let len = r.count(len, 4, cap)?;
+        (0..len).map(|_| Ok(r.u32()? as usize)).collect()
+    };
+    (0..steps).map(|_| (0..k).map(|_| read_set()).collect()).collect()
 }
 
 /// Encode one rollout into the versioned binary layout (uncompressed).
@@ -147,101 +77,82 @@ pub fn encode_rollout(rollout: &Rollout) -> Vec<u8> {
     let steps = rollout.len();
     let obs_dim = rollout.obs.first().and_then(|o| o.first()).map_or(0, Vec::len);
     let state_dim = rollout.states.first().map_or(0, Vec::len);
-    let mut w = Writer { buf: Vec::with_capacity(64 + k * steps * (obs_dim + 4) * 4) };
-    w.u8(CODEC_VERSION);
-    w.u32(k);
-    w.u32(steps);
-    w.u32(obs_dim);
-    w.u32(state_dim);
-    for per_agent in &rollout.obs {
-        for o in per_agent {
-            for &v in o {
-                w.f32(v);
-            }
-        }
+    let mut buf = Vec::with_capacity(64 + k * steps * (obs_dim + 4) * 4);
+    buf.push(CODEC_VERSION);
+    for dim in [k, steps, obs_dim, state_dim] {
+        buf.put_u32(dim as u32);
     }
-    for s in &rollout.states {
-        for &v in s {
-            w.f32(v);
-        }
-    }
-    for per_agent in &rollout.actions {
-        for a in per_agent {
-            w.f32(a[0]);
-            w.f32(a[1]);
-        }
-    }
-    for per_agent in &rollout.log_probs {
-        for &v in per_agent {
-            w.f32(v);
-        }
-    }
-    for per_agent in &rollout.rewards_ext {
-        for &v in per_agent {
-            w.f32(v);
-        }
-    }
-    neighbor_sets(&mut w, &rollout.het_neighbors);
-    neighbor_sets(&mut w, &rollout.hom_neighbors);
+    // Observations, states, actions, log-probs, rewards: agent-major, then
+    // step-major, as the fields are declared.
+    let obs = rollout.obs.iter().flatten().flatten();
+    let floats = obs.chain(rollout.states.iter().flatten());
+    let floats = floats.chain(rollout.actions.iter().flatten().flatten());
+    let floats = floats.chain(rollout.log_probs.iter().flatten());
+    floats.chain(rollout.rewards_ext.iter().flatten()).for_each(|&v| buf.put_f32(v));
+    put_neighbor_sets(&mut buf, &rollout.het_neighbors);
+    put_neighbor_sets(&mut buf, &rollout.hom_neighbors);
     for &c in &rollout.collected_per_uv {
-        w.f64(c);
+        buf.put_f64(c);
     }
-    w.u32(rollout.episode_lens.len());
+    buf.put_u32(rollout.episode_lens.len() as u32);
     for &l in &rollout.episode_lens {
-        w.u32(l);
+        buf.put_u32(l as u32);
     }
-    w.buf
+    buf
 }
 
 /// Decode a rollout encoded by [`encode_rollout`], validating the version
 /// byte, every length against the shape header, and that no bytes trail
 /// the body.
 pub fn decode_rollout(bytes: &[u8]) -> Result<Rollout, DistError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let version = r.u8()?;
-    if version != CODEC_VERSION {
+    if let Some(&version) = bytes.first().filter(|&&v| v != CODEC_VERSION) {
         return Err(DistError::Codec(format!(
             "segment codec version {version}, this build speaks {CODEC_VERSION}"
         )));
     }
-    let k = r.u32()?;
-    let steps = r.u32()?;
-    let obs_dim = r.u32()?;
-    let state_dim = r.u32()?;
-    // Shape sanity before the big reads: the buffer must hold at least the
-    // fixed-width fields the header promises, so a corrupt header fails
-    // here instead of driving a giant allocation loop. u128 keeps a
-    // hostile header from overflowing the product itself.
-    let fixed = (k as u128) * (steps as u128) * (obs_dim as u128 + 4) * 4
-        + (steps as u128) * (state_dim as u128) * 4;
-    if fixed > bytes.len() as u128 {
-        return Err(DistError::Codec(format!(
-            "implausible segment header: k={k} steps={steps} obs_dim={obs_dim}"
-        )));
-    }
+    read_rollout(bytes).map_err(|e| DistError::Codec(format!("segment {e}")))
+}
+
+fn f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, DecodeError> {
+    (0..n).map(|_| r.f32()).collect()
+}
+
+fn read_rollout(bytes: &[u8]) -> Result<Rollout, DecodeError> {
+    let cap = bytes.len();
+    let mut r = Reader::new(bytes);
+    r.u8()?; // the version byte, checked by `decode_rollout`
+    let (k, steps, obs_dim, state_dim) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+    let (obs_dim, state_dim) = (obs_dim as usize, state_dim as usize);
+    // Bound the shape by the bytes present before allocating for it: every
+    // agent-step carries an observation, an action pair, a log-prob, a
+    // reward and two neighbour-list lengths; every step a state row; every
+    // agent a collected total. `count` charges each row at least one byte,
+    // so a zero-width shape cannot declare billions of rows either.
+    let agent_step = obs_dim.saturating_mul(4).saturating_add(24);
+    let step = state_dim.saturating_mul(4).saturating_add((k as usize).saturating_mul(agent_step));
+    let steps = r.count(steps, step, cap)?;
+    let k = r.count(k, steps.saturating_mul(agent_step).saturating_add(8), cap)?;
     let mut rollout = Rollout::new(k);
     for a in 0..k {
-        rollout.obs[a] = (0..steps)
-            .map(|_| (0..obs_dim).map(|_| r.f32()).collect())
-            .collect::<Result<_, _>>()?;
+        rollout.obs[a] = (0..steps).map(|_| f32s(&mut r, obs_dim)).collect::<Result<_, _>>()?;
     }
-    rollout.states =
-        (0..steps).map(|_| (0..state_dim).map(|_| r.f32()).collect()).collect::<Result<_, _>>()?;
+    rollout.states = (0..steps).map(|_| f32s(&mut r, state_dim)).collect::<Result<_, _>>()?;
     for a in 0..k {
         rollout.actions[a] =
-            (0..steps).map(|_| Ok([r.f32()?, r.f32()?])).collect::<Result<_, DistError>>()?;
+            (0..steps).map(|_| Ok([r.f32()?, r.f32()?])).collect::<Result<_, DecodeError>>()?;
     }
     for a in 0..k {
-        rollout.log_probs[a] = (0..steps).map(|_| r.f32()).collect::<Result<_, _>>()?;
+        rollout.log_probs[a] = f32s(&mut r, steps)?;
     }
     for a in 0..k {
-        rollout.rewards_ext[a] = (0..steps).map(|_| r.f32()).collect::<Result<_, _>>()?;
+        rollout.rewards_ext[a] = f32s(&mut r, steps)?;
     }
-    rollout.het_neighbors = read_neighbor_sets(&mut r, steps, k)?;
-    rollout.hom_neighbors = read_neighbor_sets(&mut r, steps, k)?;
+    rollout.het_neighbors = read_neighbor_sets(&mut r, steps, k, cap)?;
+    rollout.hom_neighbors = read_neighbor_sets(&mut r, steps, k, cap)?;
     rollout.collected_per_uv = (0..k).map(|_| r.f64()).collect::<Result<_, _>>()?;
     let n_lens = r.u32()?;
-    rollout.episode_lens = (0..n_lens).map(|_| r.u32()).collect::<Result<_, _>>()?;
+    let n_lens = r.count(n_lens, 4, cap)?;
+    rollout.episode_lens = (0..n_lens).map(|_| Ok(r.u32()? as usize)).collect::<Result<_, _>>()?;
     r.finish()?;
     Ok(rollout)
 }
@@ -421,6 +332,16 @@ mod tests {
         let mut trailing = good.clone();
         trailing.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(decode_segment(&trailing).unwrap_err(), DistError::Codec(_)));
+        // 18-byte segments whose zero dimensions declare u32::MAX agents or
+        // steps: refused before anything is allocated for them.
+        for [k, steps] in [[u32::MAX, 0], [0, u32::MAX]] {
+            let mut hostile = vec![0u8, CODEC_VERSION];
+            for dim in [k, steps, 0, 0] {
+                hostile.extend_from_slice(&dim.to_le_bytes());
+            }
+            assert_eq!(hostile.len(), 18);
+            assert!(matches!(decode_segment(&hostile).unwrap_err(), DistError::Codec(_)));
+        }
     }
 
     #[test]

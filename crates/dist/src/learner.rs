@@ -40,7 +40,8 @@ use agsc_telemetry::{self as tlm, knobs};
 use crate::codec::decode_segment;
 use crate::error::DistError;
 use crate::proto::{
-    max_frame_bytes, read_worker_msg, write_learner_msg, LearnerMsg, WorkerMsg, PROTOCOL_VERSION,
+    max_frame_bytes, read_worker_msg, required, write_learner_msg, LearnerMsg, WorkerMsg,
+    PROTOCOL_VERSION,
 };
 
 /// Learner-side tuning.
@@ -398,12 +399,7 @@ fn run_assignment(
         shared.cap,
     )?;
     for _ in 0..indices.len() {
-        let msg = read_worker_msg(stream, shared.cap)?.ok_or_else(|| {
-            DistError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "worker closed mid-assignment",
-            ))
-        })?;
+        let msg = required(read_worker_msg(stream, shared.cap)?, "worker closed mid-assignment")?;
         let WorkerMsg::SubmitSegment { generation: g, env_index, metrics, segment } = msg else {
             return Err(DistError::Protocol("expected SubmitSegment".into()));
         };

@@ -2,7 +2,8 @@
 //! framing ([`agsc_serve::wire`]).
 //!
 //! Frames carry one opcode byte followed by fixed-width little-endian
-//! fields; variable payloads (parameter JSON, rollout segments) occupy the
+//! fields, read and written only through `agsc_serve::wire` (the codec the
+//! serving protocol shares); variable payloads (parameter JSON, rollout segments) occupy the
 //! remainder of the frame. The serving protocol's 1 MiB cap is too small
 //! for parameter broadcasts — a default-sized checkpoint's JSON runs to
 //! tens of MiB — so every dist read/write goes through the `_capped` wire
@@ -22,7 +23,7 @@
 use std::io::{Read, Write};
 
 use agsc_env::Metrics;
-use agsc_serve::wire::{read_frame_capped, write_frame_capped};
+use agsc_serve::wire::{read_frame_capped, write_frame_capped, DecodeError, Put, Reader};
 
 use crate::error::DistError;
 
@@ -109,64 +110,18 @@ pub enum LearnerMsg {
     },
 }
 
-fn metrics_bytes(m: &Metrics) -> [u8; 40] {
-    let mut out = [0u8; 40];
-    for (i, v) in
-        [m.data_collection_ratio, m.data_loss_ratio, m.energy_ratio, m.fairness, m.efficiency]
-            .into_iter()
-            .enumerate()
-    {
-        out[i * 8..(i + 1) * 8].copy_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn metrics_from(b: &[u8]) -> Metrics {
-    let f = |i: usize| {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&b[i * 8..(i + 1) * 8]);
-        f64::from_le_bytes(buf)
-    };
-    Metrics {
-        data_collection_ratio: f(0),
-        data_loss_ratio: f(1),
-        energy_ratio: f(2),
-        fairness: f(3),
-        efficiency: f(4),
+/// A frame whose fields do not decode is a protocol violation.
+impl From<DecodeError> for DistError {
+    fn from(e: DecodeError) -> Self {
+        DistError::Protocol(format!("frame {e}"))
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DistError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DistError::Protocol(format!(
-                "frame truncated: wanted {n} bytes at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DistError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DistError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, DistError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-    fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
+/// A message the protocol requires next: the peer closing cleanly instead
+/// is an [`std::io::ErrorKind::UnexpectedEof`] transport error that says so
+/// in `closed`.
+pub(crate) fn required<T>(msg: Option<T>, closed: &'static str) -> Result<T, DistError> {
+    msg.ok_or_else(|| DistError::Io(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, closed)))
 }
 
 /// Serialize and frame one worker→learner message.
@@ -174,35 +129,47 @@ pub fn write_worker_msg(w: &mut impl Write, msg: &WorkerMsg, cap: usize) -> Resu
     let mut p = Vec::new();
     match msg {
         WorkerMsg::Hello { version, worker_id } => {
-            p.push(0x31);
-            p.push(*version);
-            p.extend_from_slice(&worker_id.to_le_bytes());
+            p.extend_from_slice(&[0x31, *version]);
+            p.put_u64(*worker_id);
         }
-        WorkerMsg::SubmitSegment { generation, env_index, metrics, segment } => {
+        WorkerMsg::SubmitSegment { generation, env_index, metrics: m, segment } => {
             p.push(0x32);
-            p.extend_from_slice(&generation.to_le_bytes());
-            p.extend_from_slice(&env_index.to_le_bytes());
-            p.extend_from_slice(&metrics_bytes(metrics));
+            p.put_u64(*generation);
+            p.put_u32(*env_index);
+            for v in [
+                m.data_collection_ratio,
+                m.data_loss_ratio,
+                m.energy_ratio,
+                m.fairness,
+                m.efficiency,
+            ] {
+                p.put_f64(v);
+            }
             p.extend_from_slice(segment);
         }
     }
-    write_frame_capped(w, &p, cap)?;
-    Ok(())
+    Ok(write_frame_capped(w, &p, cap)?)
 }
 
 /// Read and parse one worker→learner message; `Ok(None)` is the peer's
 /// clean close between frames.
 pub fn read_worker_msg(r: &mut impl Read, cap: usize) -> Result<Option<WorkerMsg>, DistError> {
     let Some(frame) = read_frame_capped(r, cap)? else { return Ok(None) };
-    let mut c = Cursor { buf: &frame, pos: 0 };
+    let mut c = Reader::new(&frame);
     let msg = match c.u8()? {
         0x31 => WorkerMsg::Hello { version: c.u8()?, worker_id: c.u64()? },
-        0x32 => {
-            let generation = c.u64()?;
-            let env_index = c.u32()?;
-            let metrics = metrics_from(c.take(40)?);
-            WorkerMsg::SubmitSegment { generation, env_index, metrics, segment: c.rest().to_vec() }
-        }
+        0x32 => WorkerMsg::SubmitSegment {
+            generation: c.u64()?,
+            env_index: c.u32()?,
+            metrics: Metrics {
+                data_collection_ratio: c.f64()?,
+                data_loss_ratio: c.f64()?,
+                energy_ratio: c.f64()?,
+                fairness: c.f64()?,
+                efficiency: c.f64()?,
+            },
+            segment: c.rest().to_vec(),
+        },
         op => return Err(DistError::Protocol(format!("unknown worker opcode {op:#04x}"))),
     };
     Ok(Some(msg))
@@ -216,28 +183,25 @@ pub fn write_learner_msg(
 ) -> Result<(), DistError> {
     let mut p = Vec::new();
     match msg {
-        LearnerMsg::HelloOk { version } => {
-            p.push(0xB1);
-            p.push(*version);
-        }
+        LearnerMsg::HelloOk { version } => p.extend_from_slice(&[0xB1, *version]),
         LearnerMsg::Params { generation, json } => {
             p.push(0xB2);
-            p.extend_from_slice(&generation.to_le_bytes());
+            p.put_u64(*generation);
             p.extend_from_slice(json.as_bytes());
         }
         LearnerMsg::Work { generation, batch_seed, indices } => {
             p.push(0xB3);
-            p.extend_from_slice(&generation.to_le_bytes());
-            p.extend_from_slice(&batch_seed.to_le_bytes());
-            p.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-            for i in indices {
-                p.extend_from_slice(&i.to_le_bytes());
+            p.put_u64(*generation);
+            p.put_u64(*batch_seed);
+            p.put_u32(indices.len() as u32);
+            for &i in indices {
+                p.put_u32(i);
             }
         }
         LearnerMsg::Ack { generation, env_index } => {
             p.push(0xB4);
-            p.extend_from_slice(&generation.to_le_bytes());
-            p.extend_from_slice(&env_index.to_le_bytes());
+            p.put_u64(*generation);
+            p.put_u32(*env_index);
         }
         LearnerMsg::Shutdown => p.push(0xB5),
         LearnerMsg::Error { msg } => {
@@ -245,15 +209,14 @@ pub fn write_learner_msg(
             p.extend_from_slice(msg.as_bytes());
         }
     }
-    write_frame_capped(w, &p, cap)?;
-    Ok(())
+    Ok(write_frame_capped(w, &p, cap)?)
 }
 
 /// Read and parse one learner→worker message; `Ok(None)` is the peer's
 /// clean close between frames.
 pub fn read_learner_msg(r: &mut impl Read, cap: usize) -> Result<Option<LearnerMsg>, DistError> {
     let Some(frame) = read_frame_capped(r, cap)? else { return Ok(None) };
-    let mut c = Cursor { buf: &frame, pos: 0 };
+    let mut c = Reader::new(&frame);
     let msg = match c.u8()? {
         0xB1 => LearnerMsg::HelloOk { version: c.u8()? },
         0xB2 => {
@@ -263,21 +226,15 @@ pub fn read_learner_msg(r: &mut impl Read, cap: usize) -> Result<Option<LearnerM
             LearnerMsg::Params { generation, json }
         }
         0xB3 => {
-            let generation = c.u64()?;
-            let batch_seed = c.u64()?;
-            let count = c.u32()? as usize;
-            let mut indices = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                indices.push(c.u32()?);
-            }
+            let (generation, batch_seed) = (c.u64()?, c.u64()?);
+            let n = c.u32()?;
+            let n = c.count(n, 4, cap)?;
+            let indices = (0..n).map(|_| c.u32()).collect::<Result<_, _>>()?;
             LearnerMsg::Work { generation, batch_seed, indices }
         }
         0xB4 => LearnerMsg::Ack { generation: c.u64()?, env_index: c.u32()? },
         0xB5 => LearnerMsg::Shutdown,
-        0xBF => {
-            let msg = String::from_utf8_lossy(c.rest()).into_owned();
-            LearnerMsg::Error { msg }
-        }
+        0xBF => LearnerMsg::Error { msg: String::from_utf8_lossy(c.rest()).into_owned() },
         op => return Err(DistError::Protocol(format!("unknown learner opcode {op:#04x}"))),
     };
     Ok(Some(msg))
@@ -343,7 +300,15 @@ mod tests {
     #[test]
     fn metrics_round_trip_bit_exactly() {
         let m = metrics();
-        let decoded = metrics_from(&metrics_bytes(&m));
+        let msg =
+            WorkerMsg::SubmitSegment { generation: 0, env_index: 0, metrics: m, segment: vec![] };
+        let mut wire = Vec::new();
+        write_worker_msg(&mut wire, &msg, 1 << 20).unwrap();
+        let Some(WorkerMsg::SubmitSegment { metrics: decoded, .. }) =
+            read_worker_msg(&mut &wire[..], 1 << 20).unwrap()
+        else {
+            panic!("a SubmitSegment must read back as one");
+        };
         assert_eq!(decoded.data_collection_ratio.to_bits(), m.data_collection_ratio.to_bits());
         assert_eq!(decoded.efficiency.to_bits(), m.efficiency.to_bits());
         assert_eq!(decoded, m);

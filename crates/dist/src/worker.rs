@@ -24,7 +24,8 @@ use agsc_telemetry::{self as tlm, knobs};
 use crate::codec::{encode_segment, Compression};
 use crate::error::DistError;
 use crate::proto::{
-    max_frame_bytes, read_learner_msg, write_worker_msg, LearnerMsg, WorkerMsg, PROTOCOL_VERSION,
+    max_frame_bytes, read_learner_msg, required, write_worker_msg, LearnerMsg, WorkerMsg,
+    PROTOCOL_VERSION,
 };
 
 /// Worker-side tuning.
@@ -135,33 +136,18 @@ fn run_session(
         &WorkerMsg::Hello { version: PROTOCOL_VERSION, worker_id: cfg.worker_id },
         cap,
     )?;
-    match read_learner_msg(stream, cap)? {
-        Some(LearnerMsg::HelloOk { version: PROTOCOL_VERSION }) => {}
-        Some(LearnerMsg::HelloOk { version }) => {
+    match required(read_learner_msg(stream, cap)?, "learner closed during handshake")? {
+        LearnerMsg::HelloOk { version: PROTOCOL_VERSION } => {}
+        LearnerMsg::HelloOk { version } => {
             return Err(DistError::Protocol(format!(
                 "learner protocol version {version}, worker speaks {PROTOCOL_VERSION}"
             )))
         }
-        Some(LearnerMsg::Error { msg }) => return Err(DistError::Protocol(msg)),
-        Some(_) => return Err(DistError::Protocol("expected HelloOk".into())),
-        None => {
-            return Err(DistError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "learner closed during handshake",
-            )))
-        }
+        LearnerMsg::Error { msg } => return Err(DistError::Protocol(msg)),
+        _ => return Err(DistError::Protocol("expected HelloOk".into())),
     }
     loop {
-        let msg = match read_learner_msg(stream, cap) {
-            Ok(Some(m)) => m,
-            Ok(None) => {
-                return Err(DistError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "learner closed the session",
-                )))
-            }
-            Err(e) => return Err(e),
-        };
+        let msg = required(read_learner_msg(stream, cap)?, "learner closed the session")?;
         match msg {
             LearnerMsg::Params { generation, json } => {
                 let ckpt: agsc_madrl::Checkpoint =
@@ -195,18 +181,12 @@ fn run_session(
                         &WorkerMsg::SubmitSegment { generation, env_index: idx, metrics, segment },
                         cap,
                     )?;
-                    match read_learner_msg(stream, cap)? {
-                        Some(LearnerMsg::Ack { generation: g, env_index })
+                    match required(read_learner_msg(stream, cap)?, "learner closed awaiting ack")? {
+                        LearnerMsg::Ack { generation: g, env_index }
                             if g == generation && env_index == idx => {}
-                        Some(other) => {
+                        other => {
                             return Err(DistError::Protocol(format!(
                                 "expected Ack for ({generation}, {idx}), got {other:?}"
-                            )))
-                        }
-                        None => {
-                            return Err(DistError::Io(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "learner closed awaiting ack",
                             )))
                         }
                     }

@@ -137,8 +137,8 @@ pub fn run_collection_masked(
     }
 
     // Fault-mask queries; out-of-range (or no mask) means available.
-    let uv_ok = |k: usize| mask.map_or(true, |m| m.uv_alive.get(k).copied().unwrap_or(true));
-    let ch_ok = |z: usize| mask.map_or(true, |m| m.subchannel_up.get(z).copied().unwrap_or(true));
+    let uv_ok = |k: usize| mask.is_none_or(|m| m.uv_alive.get(k).copied().unwrap_or(true));
+    let ch_ok = |z: usize| mask.is_none_or(|m| m.subchannel_up.get(z).copied().unwrap_or(true));
 
     // Nearest data-bearing PoI within access range, optionally excluding one.
     let nearest_poi = |from: &Point, exclude: Option<usize>| -> Option<usize> {
@@ -148,7 +148,7 @@ pub fn run_collection_masked(
                 continue;
             }
             let d = p.dist(from);
-            if d <= cfg.access_range && best.map_or(true, |(_, bd)| d < bd) {
+            if d <= cfg.access_range && best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }
         }
@@ -407,9 +407,7 @@ mod tests {
     use super::*;
 
     fn cfg() -> EnvConfig {
-        let mut c = EnvConfig::default();
-        c.stochastic_fading = false;
-        c
+        EnvConfig { stochastic_fading: false, ..EnvConfig::default() }
     }
 
     fn unit_fading(c: &EnvConfig) -> RayleighFading {

@@ -171,16 +171,13 @@ mod tests {
 
     #[test]
     fn validation_rejects_uavs_without_decoder() {
-        let mut c = EnvConfig::default();
-        c.num_ugvs = 0;
+        let c = EnvConfig { num_ugvs: 0, ..EnvConfig::default() };
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn validation_rejects_empty_fleet() {
-        let mut c = EnvConfig::default();
-        c.num_uavs = 0;
-        c.num_ugvs = 0;
+        let c = EnvConfig { num_uavs: 0, num_ugvs: 0, ..EnvConfig::default() };
         assert!(c.validate().is_err());
     }
 
@@ -211,9 +208,7 @@ mod tests {
 
     #[test]
     fn ugv_only_fleet_is_valid() {
-        let mut c = EnvConfig::default();
-        c.num_uavs = 0;
-        c.num_ugvs = 3;
+        let c = EnvConfig { num_uavs: 0, num_ugvs: 3, ..EnvConfig::default() };
         assert!(c.validate().is_ok());
     }
 }

@@ -378,7 +378,7 @@ impl AirGroundEnv {
     /// metres — h-CoPO's `N_HO` (§V-B).
     pub fn homogeneous_neighbors(&self, range: f64) -> Vec<Vec<usize>> {
         let mut out = vec![Vec::new(); self.uvs.len()];
-        for i in 0..self.uvs.len() {
+        for (i, row) in out.iter_mut().enumerate() {
             for j in 0..self.uvs.len() {
                 if i != j
                     && self.alive[i]
@@ -386,7 +386,7 @@ impl AirGroundEnv {
                     && self.uvs[i].kind == self.uvs[j].kind
                     && self.uvs[i].position.dist(&self.uvs[j].position) <= range
                 {
-                    out[i].push(j);
+                    row.push(j);
                 }
             }
         }
@@ -454,8 +454,7 @@ mod tests {
 
     fn small_env() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 7)
     }
 
@@ -533,9 +532,11 @@ mod tests {
     #[test]
     fn exhausted_uv_cannot_move() {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.stochastic_fading = false;
-        cfg.uav_energy_j = 100.0; // tiny reserve
+        let cfg = EnvConfig {
+            stochastic_fading: false,
+            uav_energy_j: 100.0, // tiny reserve
+            ..EnvConfig::default()
+        };
         let mut env = AirGroundEnv::new(cfg, &dataset, 7);
         let mut actions = vec![UvAction::stay(); env.num_uvs()];
         actions[0] = UvAction { heading: 0.0, speed: 1.0 };
@@ -636,8 +637,7 @@ mod tests {
     #[test]
     fn try_new_reports_typed_errors() {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 0;
+        let cfg = EnvConfig { horizon: 0, ..EnvConfig::default() };
         match AirGroundEnv::try_new(cfg, &dataset, 1) {
             Err(crate::error::EnvError::InvalidConfig(msg)) => {
                 assert!(msg.contains("horizon"));
@@ -649,8 +649,7 @@ mod tests {
     #[test]
     fn dead_uv_holds_position_and_spends_nothing() {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.stochastic_fading = false;
+        let mut cfg = EnvConfig { stochastic_fading: false, ..EnvConfig::default() };
         cfg.faults.uv_failure_rate = 1.0;
         cfg.faults.failure_window = (0.0, 0.0); // everyone dead from slot 0
         let mut env = AirGroundEnv::new(cfg, &dataset, 7);
@@ -669,8 +668,7 @@ mod tests {
     #[test]
     fn faulty_episode_completes_with_finite_metrics() {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 30;
+        let mut cfg = EnvConfig { horizon: 30, ..EnvConfig::default() };
         cfg.faults.uv_failure_rate = 0.75;
         cfg.faults.outage_rate = 0.2;
         cfg.faults.outage_len = (1, 5);

@@ -217,7 +217,7 @@ impl FaultInjector {
     /// Is UV `k` alive during slot `t`? A UV with `uv_down_at[k] == d` acts
     /// normally for slots `0..d` and is dead from slot `d` on.
     pub fn uv_alive(&self, k: usize, t: usize) -> bool {
-        !self.active || self.plan.uv_down_at.get(k).map_or(true, |&d| t < d)
+        !self.active || self.plan.uv_down_at.get(k).is_none_or(|&d| t < d)
     }
 
     /// Is subchannel `z` usable during slot `t`?
@@ -298,17 +298,13 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_knobs() {
-        let mut c = FaultConfig::default();
-        c.uv_failure_rate = 1.5;
+        let c = FaultConfig { uv_failure_rate: 1.5, ..FaultConfig::default() };
         assert!(c.validate().is_err());
-        let mut c = FaultConfig::default();
-        c.failure_window = (0.8, 0.2);
+        let c = FaultConfig { failure_window: (0.8, 0.2), ..FaultConfig::default() };
         assert!(c.validate().is_err());
-        let mut c = FaultConfig::default();
-        c.outage_len = (0, 3);
+        let c = FaultConfig { outage_len: (0, 3), ..FaultConfig::default() };
         assert!(c.validate().is_err());
-        let mut c = FaultConfig::default();
-        c.obs_noise_std = -1.0;
+        let c = FaultConfig { obs_noise_std: -1.0, ..FaultConfig::default() };
         assert!(c.validate().is_err());
         assert!(faulty_cfg().validate().is_ok());
     }
@@ -337,9 +333,11 @@ mod tests {
 
     #[test]
     fn injector_death_is_permanent() {
-        let mut c = FaultConfig::default();
-        c.uv_failure_rate = 1.0;
-        c.failure_window = (0.5, 0.5);
+        let c = FaultConfig {
+            uv_failure_rate: 1.0,
+            failure_window: (0.5, 0.5),
+            ..FaultConfig::default()
+        };
         let inj = FaultInjector::for_episode(&c, 2, 3, 100, 7);
         assert!(inj.uv_alive(0, 0) && inj.uv_alive(0, 49));
         assert!(!inj.uv_alive(0, 50));
@@ -382,8 +380,7 @@ mod tests {
 
     #[test]
     fn noise_keeps_values_finite() {
-        let mut c = FaultConfig::default();
-        c.obs_noise_std = 5.0;
+        let c = FaultConfig { obs_noise_std: 5.0, ..FaultConfig::default() };
         let inj = FaultInjector::for_episode(&c, 2, 3, 50, 3);
         for t in 0..50 {
             let mut obs = vec![0.1f32; 9];
@@ -394,8 +391,7 @@ mod tests {
 
     #[test]
     fn full_drop_rate_blanks_every_observation() {
-        let mut c = FaultConfig::default();
-        c.obs_drop_rate = 1.0;
+        let c = FaultConfig { obs_drop_rate: 1.0, ..FaultConfig::default() };
         let inj = FaultInjector::for_episode(&c, 2, 3, 50, 3);
         let mut obs = vec![0.7f32; 6];
         inj.perturb_observation(1, 10, &mut obs);

@@ -72,8 +72,7 @@ mod tests {
     use crate::types::UvKind;
 
     fn setup() -> (EnvConfig, Aabb, Vec<UvState>, Vec<Point>, Vec<f64>) {
-        let mut cfg = EnvConfig::default();
-        cfg.obs_range = 100.0;
+        let cfg = EnvConfig { obs_range: 100.0, ..EnvConfig::default() };
         let bounds = Aabb::from_extent(1000.0, 1000.0);
         let uvs = vec![
             UvState {

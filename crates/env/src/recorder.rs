@@ -105,9 +105,7 @@ mod tests {
 
     fn recorded_episode(slots: usize) -> (AirGroundEnv, EpisodeRecorder) {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = slots;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: slots, stochastic_fading: false, ..EnvConfig::default() };
         let mut env = AirGroundEnv::new(cfg, &dataset, 7);
         let mut rec = EpisodeRecorder::new();
         let actions = vec![UvAction { heading: 0.2, speed: 0.5 }; env.num_uvs()];

@@ -19,8 +19,7 @@ pub fn render_ascii(
     uav_trajectories: &[Vec<Point>],
     ugv_trajectories: &[Vec<Point>],
     start: Point,
-    cols: usize,
-    rows: usize,
+    (cols, rows): (usize, usize),
 ) -> String {
     assert!(cols >= 2 && rows >= 2, "grid too small to render");
     let mut grid = vec![vec![' '; cols]; rows];
@@ -96,7 +95,7 @@ mod tests {
         let drained = vec![false, true];
         let uav = vec![vec![Point::new(50.0, 50.0)]];
         let ugv = vec![vec![Point::new(30.0, 30.0)]];
-        let s = render_ascii(&bounds, &pois, &drained, &uav, &ugv, Point::new(0.0, 0.0), 20, 10);
+        let s = render_ascii(&bounds, &pois, &drained, &uav, &ugv, Point::new(0.0, 0.0), (20, 10));
         assert!(s.contains('A'), "UAV glyph missing");
         assert!(s.contains('a'), "UGV glyph missing");
         assert!(s.contains('.'), "live PoI glyph missing");
@@ -110,7 +109,7 @@ mod tests {
     fn y_axis_points_up() {
         let bounds = Aabb::from_extent(100.0, 100.0);
         let pois = vec![Point::new(50.0, 95.0)];
-        let s = render_ascii(&bounds, &pois, &[false], &[], &[], Point::new(50.0, 5.0), 11, 11);
+        let s = render_ascii(&bounds, &pois, &[false], &[], &[], Point::new(50.0, 5.0), (11, 11));
         let lines: Vec<&str> = s.lines().collect();
         // High-y PoI renders near the top, low-y start near the bottom.
         assert!(lines[0].contains('.') || lines[1].contains('.'));
@@ -133,6 +132,6 @@ mod tests {
     #[should_panic(expected = "grid too small")]
     fn rejects_degenerate_grid() {
         let bounds = Aabb::from_extent(10.0, 10.0);
-        render_ascii(&bounds, &[], &[], &[], &[], Point::ORIGIN, 1, 1);
+        render_ascii(&bounds, &[], &[], &[], &[], Point::ORIGIN, (1, 1));
     }
 }

@@ -125,9 +125,7 @@ mod tests {
 
     fn proto() -> AirGroundEnv {
         let dataset = presets::purdue(1);
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 5;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 5, stochastic_fading: false, ..EnvConfig::default() };
         AirGroundEnv::new(cfg, &dataset, 7)
     }
 

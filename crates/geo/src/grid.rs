@@ -111,7 +111,7 @@ impl SpatialGrid {
         loop {
             let mut best: Option<(usize, f64)> = None;
             self.for_each_in_radius(center, radius, |i, d| {
-                if best.map_or(true, |(_, bd)| d < bd) {
+                if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((i, d));
                 }
             });

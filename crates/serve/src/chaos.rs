@@ -29,6 +29,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::retry::SplitMix;
+
 /// Chaos knobs: per-connection fault probabilities. Probabilities are
 /// evaluated in the order black-hole → reset → truncate → corrupt → delay;
 /// whatever is left over is a clean pass-through connection.
@@ -108,44 +110,6 @@ pub enum ConnFate {
     BlackHole,
 }
 
-/// splitmix64 — the same tiny deterministic generator the rollout seed
-/// derivation uses; good enough for fault sampling and dependency-free.
-struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn byte_budget(&mut self) -> usize {
-        // 1..=48: inside the first frame or two of a conversation, so the
-        // fault lands mid-protocol rather than after the workload is done.
-        (self.next_u64() % 48) as usize + 1
-    }
-
-    fn direction(&mut self) -> Direction {
-        if self.next_u64() & 1 == 0 {
-            Direction::ToServer
-        } else {
-            Direction::ToClient
-        }
-    }
-}
-
 /// Salt separating per-connection fate streams (FaultPlan idiom).
 const CONN_FATE_SALT: u64 = 0xC4A0_5CA0_5FA7_E001;
 
@@ -167,21 +131,25 @@ impl ChaosPlan {
         let mut rng =
             SplitMix::new(self.cfg.seed ^ conn_index.wrapping_mul(CONN_FATE_SALT).wrapping_add(1));
         let roll = rng.next_f64();
+        // 1..=48 bytes: inside the first frame or two of a conversation, so
+        // the fault lands mid-protocol rather than after the workload is done.
+        let at = (rng.next_u64() % 48) as usize + 1;
+        let dir = if rng.next_u64() & 1 == 0 { Direction::ToServer } else { Direction::ToClient };
         let mut acc = self.cfg.blackhole_prob;
         if roll < acc {
             return ConnFate::BlackHole;
         }
         acc += self.cfg.reset_prob;
         if roll < acc {
-            return ConnFate::Reset { after: rng.byte_budget(), dir: rng.direction() };
+            return ConnFate::Reset { after: at, dir };
         }
         acc += self.cfg.truncate_prob;
         if roll < acc {
-            return ConnFate::Truncate { after: rng.byte_budget(), dir: rng.direction() };
+            return ConnFate::Truncate { after: at, dir };
         }
         acc += self.cfg.corrupt_prob;
         if roll < acc {
-            return ConnFate::Corrupt { at: rng.byte_budget(), dir: rng.direction() };
+            return ConnFate::Corrupt { at, dir };
         }
         acc += self.cfg.delay_prob;
         if roll < acc {

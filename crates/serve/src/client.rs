@@ -15,6 +15,7 @@ use agsc_telemetry::knobs;
 use crate::protocol::{
     read_frame, write_request, ProtocolError, Request, Response, StageTimings, TraceContext,
 };
+use crate::wire::is_timeout;
 
 /// Client-side deadlines. The default is fully blocking (every field
 /// `None`) — the pre-hardening behavior — so deadlines are strictly
@@ -153,7 +154,7 @@ impl std::error::Error for ClientError {}
 /// Map a deadline-induced io error to the typed [`ClientError::Timeout`],
 /// anything else to [`ClientError::Io`].
 fn timeout_or_io(e: io::Error, phase: &'static str) -> ClientError {
-    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+    if is_timeout(&e) {
         ClientError::Timeout(phase)
     } else {
         ClientError::Io(e)

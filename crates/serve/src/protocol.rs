@@ -5,6 +5,8 @@
 //! floats are little-endian. The format is deliberately trivial — a client
 //! in any language is a few dozen lines — and versioned implicitly by the
 //! opcode space: unknown opcodes yield a typed decode error, never a panic.
+//! Frames and fields are read and written only through [`crate::wire`],
+//! the codec the distributed-training protocol shares.
 //!
 //! ## Frame layout
 //!
@@ -48,9 +50,11 @@
 use std::fmt;
 use std::io::{self, Write};
 
-// Framing (length prefix, allocation cap, clean-EOF semantics) is shared
-// with the distributed-training protocol via [`crate::wire`]; re-exported
-// here so existing callers keep their paths.
+use crate::wire::{DecodeError, Put, Reader};
+
+// Framing and the field codec live in [`crate::wire`], shared with the
+// distributed-training protocol; the framing is re-exported here so
+// existing callers keep their paths.
 pub use crate::wire::{read_frame, write_frame, MAX_FRAME_BYTES};
 
 /// The traced-envelope version this build understands.
@@ -214,59 +218,39 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Cursor-style reader over a payload slice.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtocolError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes)
+impl From<DecodeError> for ProtocolError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated { .. } => ProtocolError::Truncated,
+            DecodeError::Trailing(_) => ProtocolError::TrailingBytes,
+            DecodeError::Oversize { .. } => ProtocolError::Oversize,
         }
     }
 }
 
-/// A declared element count, bounds-checked against [`MAX_FRAME_BYTES`] so a
-/// corrupt prefix cannot drive a giant allocation.
-fn checked_len(n: u32, elem_bytes: usize) -> Result<usize, ProtocolError> {
-    let n = n as usize;
-    if n.saturating_mul(elem_bytes) > MAX_FRAME_BYTES {
-        return Err(ProtocolError::Oversize);
+fn put_obs(buf: &mut Vec<u8>, agent: u32, obs: &[f32]) {
+    buf.put_u32(agent);
+    buf.put_u32(obs.len() as u32);
+    for &v in obs {
+        buf.put_f32(v);
     }
-    Ok(n)
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.put_u32(s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn read_obs(c: &mut Reader<'_>) -> Result<Vec<f32>, ProtocolError> {
+    let n = c.u32()?;
+    let n = c.count(n, 4, MAX_FRAME_BYTES)?;
+    Ok((0..n).map(|_| c.f32()).collect::<Result<_, DecodeError>>()?)
+}
+
+fn read_str(c: &mut Reader<'_>) -> Result<String, ProtocolError> {
+    let n = c.u32()?;
+    let n = c.count(n, 1, MAX_FRAME_BYTES)?;
+    String::from_utf8(c.take(n)?.to_vec()).map_err(|_| ProtocolError::BadUtf8)
 }
 
 impl Request {
@@ -275,54 +259,31 @@ impl Request {
         match self {
             Request::Action { agent, obs } => {
                 buf.push(0x01);
-                buf.extend_from_slice(&agent.to_le_bytes());
-                buf.extend_from_slice(&(obs.len() as u32).to_le_bytes());
-                for v in obs {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
+                put_obs(buf, *agent, obs);
             }
             Request::Ping => buf.push(0x02),
             Request::Reload { path } => {
                 buf.push(0x03);
-                buf.extend_from_slice(&(path.len() as u32).to_le_bytes());
-                buf.extend_from_slice(path.as_bytes());
+                put_str(buf, path);
             }
             Request::Info => buf.push(0x04),
             Request::Stats => buf.push(0x05),
             Request::TracedAction { trace, agent, obs } => {
-                buf.push(0x11);
-                buf.push(TRACE_VERSION);
-                buf.extend_from_slice(&trace.trace_id.to_le_bytes());
-                buf.extend_from_slice(&trace.client_send_us.to_le_bytes());
-                buf.extend_from_slice(&agent.to_le_bytes());
-                buf.extend_from_slice(&(obs.len() as u32).to_le_bytes());
-                for v in obs {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
+                buf.extend_from_slice(&[0x11, TRACE_VERSION]);
+                buf.put_u64(trace.trace_id);
+                buf.put_u64(trace.client_send_us);
+                put_obs(buf, *agent, obs);
             }
         }
     }
 
     /// Decode one request payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let req = match c.u8()? {
-            0x01 => {
-                let agent = c.u32()?;
-                let n = checked_len(c.u32()?, 4)?;
-                let mut obs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    obs.push(c.f32()?);
-                }
-                Request::Action { agent, obs }
-            }
+            0x01 => Request::Action { agent: c.u32()?, obs: read_obs(&mut c)? },
             0x02 => Request::Ping,
-            0x03 => {
-                let n = checked_len(c.u32()?, 1)?;
-                let bytes = c.take(n)?;
-                let path = String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)?;
-                Request::Reload { path }
-            }
+            0x03 => Request::Reload { path: read_str(&mut c)? },
             0x04 => Request::Info,
             0x05 => Request::Stats,
             0x11 => {
@@ -331,13 +292,7 @@ impl Request {
                     return Err(ProtocolError::BadTraceVersion(version));
                 }
                 let trace = TraceContext { trace_id: c.u64()?, client_send_us: c.u64()? };
-                let agent = c.u32()?;
-                let n = checked_len(c.u32()?, 4)?;
-                let mut obs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    obs.push(c.f32()?);
-                }
-                Request::TracedAction { trace, agent, obs }
+                Request::TracedAction { trace, agent: c.u32()?, obs: read_obs(&mut c)? }
             }
             op => return Err(ProtocolError::UnknownOpcode(op)),
         };
@@ -352,47 +307,45 @@ impl Response {
         match self {
             Response::Action { heading, speed } => {
                 buf.push(0x81);
-                buf.extend_from_slice(&heading.to_le_bytes());
-                buf.extend_from_slice(&speed.to_le_bytes());
+                buf.put_f32(*heading);
+                buf.put_f32(*speed);
             }
             Response::Pong => buf.push(0x82),
             Response::ReloadOk { generation, iterations_done } => {
                 buf.push(0x83);
-                buf.extend_from_slice(&generation.to_le_bytes());
-                buf.extend_from_slice(&iterations_done.to_le_bytes());
+                buf.put_u64(*generation);
+                buf.put_u64(*iterations_done);
             }
             Response::Info { num_agents, obs_dim, generation } => {
                 buf.push(0x84);
-                buf.extend_from_slice(&num_agents.to_le_bytes());
-                buf.extend_from_slice(&obs_dim.to_le_bytes());
-                buf.extend_from_slice(&generation.to_le_bytes());
+                buf.put_u32(*num_agents);
+                buf.put_u32(*obs_dim);
+                buf.put_u64(*generation);
             }
             Response::Busy => buf.push(0xED),
             Response::Overloaded => buf.push(0xEE),
             Response::Error { message } => {
                 buf.push(0xEF);
-                buf.extend_from_slice(&(message.len() as u32).to_le_bytes());
-                buf.extend_from_slice(message.as_bytes());
+                put_str(buf, message);
             }
             Response::Stats { json } => {
                 buf.push(0x85);
-                buf.extend_from_slice(&(json.len() as u32).to_le_bytes());
-                buf.extend_from_slice(json.as_bytes());
+                put_str(buf, json);
             }
             Response::TracedAction { heading, speed, stages } => {
                 buf.push(0x91);
-                buf.extend_from_slice(&heading.to_le_bytes());
-                buf.extend_from_slice(&speed.to_le_bytes());
-                buf.extend_from_slice(&stages.queue_wait_us.to_le_bytes());
-                buf.extend_from_slice(&stages.batch_wait_us.to_le_bytes());
-                buf.extend_from_slice(&stages.forward_us.to_le_bytes());
+                buf.put_f32(*heading);
+                buf.put_f32(*speed);
+                buf.put_u32(stages.queue_wait_us);
+                buf.put_u32(stages.batch_wait_us);
+                buf.put_u32(stages.forward_us);
             }
         }
     }
 
     /// Decode one response payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut c = Cursor::new(payload);
+        let mut c = Reader::new(payload);
         let resp = match c.u8()? {
             0x81 => Response::Action { heading: c.f32()?, speed: c.f32()? },
             0x82 => Response::Pong,
@@ -402,19 +355,8 @@ impl Response {
             }
             0xED => Response::Busy,
             0xEE => Response::Overloaded,
-            0xEF => {
-                let n = checked_len(c.u32()?, 1)?;
-                let bytes = c.take(n)?;
-                let message =
-                    String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)?;
-                Response::Error { message }
-            }
-            0x85 => {
-                let n = checked_len(c.u32()?, 1)?;
-                let bytes = c.take(n)?;
-                let json = String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)?;
-                Response::Stats { json }
-            }
+            0xEF => Response::Error { message: read_str(&mut c)? },
+            0x85 => Response::Stats { json: read_str(&mut c)? },
             0x91 => Response::TracedAction {
                 heading: c.f32()?,
                 speed: c.f32()?,

@@ -70,13 +70,19 @@ impl RetryPolicy {
     }
 }
 
-/// splitmix64 — seeded jitter without a rand dependency.
-struct SplitMix {
+/// splitmix64 — the same tiny deterministic generator the rollout seed
+/// derivation uses: seeded backoff jitter and chaos fates without a rand
+/// dependency.
+pub(crate) struct SplitMix {
     state: u64,
 }
 
 impl SplitMix {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn new(seed: u64) -> Self {
+        Self { state: seed }
+    }
+
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -84,7 +90,7 @@ impl SplitMix {
         z ^ (z >> 31)
     }
 
-    fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -109,7 +115,7 @@ impl Backoff {
             base: policy.base,
             cap: policy.cap.max(policy.base),
             prev: policy.base,
-            rng: SplitMix { state: policy.seed },
+            rng: SplitMix::new(policy.seed),
         }
     }
 
@@ -130,7 +136,7 @@ impl Backoff {
 /// property suite can walk whole schedules against it and prove the total
 /// sleep time never exceeds the budget.
 pub fn delay_fits(elapsed: Duration, delay: Duration, budget: Option<Duration>) -> bool {
-    budget.map_or(true, |b| elapsed + delay < b)
+    budget.is_none_or(|b| elapsed + delay < b)
 }
 
 /// Cumulative tallies of one [`RetryingClient`]'s lifetime.
@@ -344,6 +350,10 @@ mod tests {
             assert!(d <= Duration::from_millis(80), "{d:?} above cap");
             assert_eq!(d, b.next_delay(), "same seed must give the same schedule");
         }
+        // The schedule itself is pinned, not just its purity.
+        let mut c = Backoff::new(&policy(11));
+        let head: Vec<u64> = (0..4).map(|_| c.next_delay().as_nanos() as u64).collect();
+        assert_eq!(head, [16_324_888, 20_225_594, 42_333_933, 69_040_749]);
     }
 
     #[test]

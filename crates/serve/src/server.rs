@@ -20,7 +20,7 @@
 //! shuts down every connection socket to unblock blocking reads, and joins
 //! the connection threads. Nothing is dropped on the floor.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
@@ -34,6 +34,7 @@ use crate::admin::{AdminServer, Health};
 use crate::batcher::{run_batcher, BatcherOpts, Pending, PushError, SharedQueue};
 use crate::policy::{PolicyLoader, PolicyStore, ServePolicy};
 use crate::protocol::{write_response, Request, Response, TraceContext, MAX_FRAME_BYTES};
+use crate::wire::{is_timeout, read_frame_phased};
 
 /// Server tuning knobs. [`ServeConfig::from_env`] is the standard way to
 /// build one; every field has a sensible default.
@@ -408,74 +409,6 @@ fn accept_loop(
     }
 }
 
-/// Outcome of one hardened frame read.
-enum FrameRead {
-    /// A complete payload arrived.
-    Frame(Vec<u8>),
-    /// Clean EOF, torn stream, or our own shutdown poke — conversation over.
-    Closed,
-    /// No frame started within the idle window.
-    Idle,
-    /// A frame started but stalled past the read timeout.
-    Stalled,
-    /// The length prefix declares more than [`MAX_FRAME_BYTES`].
-    Oversize(u32),
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Fill `buf` from `stream`, mapping a socket timeout to [`FrameRead::Stalled`].
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), FrameRead> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(FrameRead::Closed),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => return Err(FrameRead::Stalled),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(FrameRead::Closed),
-        }
-    }
-    Ok(())
-}
-
-/// Read one frame with phase-split deadlines: while *waiting* for a frame
-/// only `idle` applies; once the first byte lands, `frame` bounds the rest.
-/// With both `None` this degrades to exactly the pre-hardening blocking
-/// read, so default configurations keep their bit-identical happy path.
-fn read_frame_hardened(
-    stream: &mut TcpStream,
-    idle: Option<Duration>,
-    frame: Option<Duration>,
-) -> FrameRead {
-    let mut prefix = [0u8; 4];
-    let _ = stream.set_read_timeout(idle);
-    loop {
-        match stream.read(&mut prefix[..1]) {
-            Ok(0) => return FrameRead::Closed,
-            Ok(_) => break,
-            Err(e) if is_timeout(&e) => return FrameRead::Idle,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return FrameRead::Closed,
-        }
-    }
-    let _ = stream.set_read_timeout(frame);
-    if let Err(out) = read_full(stream, &mut prefix[1..]) {
-        return out;
-    }
-    let len = u32::from_le_bytes(prefix);
-    if len as usize > MAX_FRAME_BYTES {
-        return FrameRead::Oversize(len);
-    }
-    let mut payload = vec![0u8; len as usize];
-    if let Err(out) = read_full(stream, &mut payload) {
-        return out;
-    }
-    FrameRead::Frame(payload)
-}
-
 /// One connection: read frames, answer them, until EOF, socket shutdown,
 /// or a hardening deadline fires. Validation happens here, at the protocol
 /// boundary, so the batcher only ever sees well-formed work; a panic in a
@@ -501,25 +434,31 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 
 fn conn_loop(reader: &mut TcpStream, writer: &mut BufWriter<TcpStream>, shared: &Shared) {
     loop {
-        let payload = match read_frame_hardened(reader, shared.idle_timeout, shared.read_timeout) {
-            FrameRead::Frame(p) => p,
-            FrameRead::Closed => return,
-            FrameRead::Idle => {
-                tlm::counter_add("serve.idle_reaped", 1);
+        // Phase-split deadlines: while waiting for a frame only the idle
+        // deadline applies; once its first byte lands, the frame deadline
+        // bounds the rest. With both `None` this is a plain blocking read.
+        let _ = reader.set_read_timeout(shared.idle_timeout);
+        let mut started = false;
+        let read = read_frame_phased(reader, MAX_FRAME_BYTES, |s| {
+            started = true;
+            let _ = s.set_read_timeout(shared.read_timeout);
+        });
+        let payload = match read {
+            Ok(Some(p)) => p,
+            Err(e) if is_timeout(&e) => {
+                let reason = if started { "serve.conn_timeout" } else { "serve.idle_reaped" };
+                tlm::counter_add(reason, 1);
                 return;
             }
-            FrameRead::Stalled => {
-                tlm::counter_add("serve.conn_timeout", 1);
-                return;
-            }
-            FrameRead::Oversize(len) => {
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Malformed-frame policy: answer with a typed error,
                 // then close — never read a stream we cannot reframe.
                 tlm::counter_add("serve.protocol_errors", 1);
-                let message = format!("frame length {len} exceeds {MAX_FRAME_BYTES} byte cap");
-                let _ = write_response(writer, &Response::Error { message });
+                let _ = write_response(writer, &Response::Error { message: e.to_string() });
                 return;
             }
+            // Clean EOF, torn stream, or our own shutdown poke.
+            Ok(None) | Err(_) => return,
         };
         let _span = tlm::span("serve/request");
         let resp = match Request::decode(&payload) {

@@ -7,7 +7,7 @@
 //! ## Off by default, and free when off
 //!
 //! The global handle starts disabled. Every hot-path entry point
-//! ([`span`], [`emit_with`], [`counter_add`], [`gauge_set`]) gates on one
+//! ([`span()`], [`emit_with`], [`counter_add`], [`gauge_set`]) gates on one
 //! relaxed atomic load and returns before any locking, formatting, or
 //! allocation. Instrumented code therefore runs bit-identically — and
 //! unmeasurably slower — with telemetry unconfigured.

@@ -16,26 +16,18 @@
 //! ## Gating
 //!
 //! Off by default behind one relaxed atomic, exactly like the rest of the
-//! telemetry layer: [`record`] is only reachable from span drops (which
+//! telemetry layer: `record` is only reachable from span drops (which
 //! already require telemetry to be enabled) and returns on a single load
 //! when profiling is off, so uninstrumented and unprofiled runs stay
 //! bit-identical. Enable with `AGSC_PROF=1` (read by
 //! [`crate::init_from_env`] / [`crate::init_run`]) or [`set_enabled`].
-//!
-//! ## CPU-time sampling
-//!
-//! [`thread_cpu_time`] reads the calling thread's user+system CPU time
-//! from `/proc/thread-self/stat` on Linux and gracefully returns `None`
-//! anywhere else; [`CpuSampler`] pairs it with a wall clock so run entry
-//! points can report end-of-run CPU utilisation (compute-bound training
-//! should sit near `workers × 100%`).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::span::SpanStat;
 
@@ -265,68 +257,6 @@ fn write_table<'a>(
     Some(out)
 }
 
-/// The calling thread's consumed CPU time (user + system) on Linux, read
-/// from `/proc/thread-self/stat`; `None` on other platforms or any parse
-/// failure. Tick length assumes the universal `USER_HZ = 100`.
-pub fn thread_cpu_time() -> Option<Duration> {
-    #[cfg(target_os = "linux")]
-    {
-        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
-        parse_proc_stat_cpu(&stat)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
-}
-
-/// Parse `utime + stime` out of a `/proc/<pid>/stat`-format line. The comm
-/// field may itself contain spaces and parentheses, so fields are counted
-/// from the *last* `)`. Separated from the I/O for unit testing.
-#[allow(dead_code)] // referenced only on Linux targets; tested everywhere
-fn parse_proc_stat_cpu(stat: &str) -> Option<Duration> {
-    const USER_HZ: u64 = 100;
-    let after = &stat[stat.rfind(')')? + 1..];
-    let mut fields = after.split_whitespace();
-    // after ')' the next field is state (overall field 3); utime and stime
-    // are overall fields 14 and 15.
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    Some(Duration::from_millis((utime + stime) * (1000 / USER_HZ)))
-}
-
-/// Paired CPU/wall sampler for utilisation reporting: construct at run
-/// start, call [`CpuSampler::sample`] at the end.
-#[derive(Debug)]
-pub struct CpuSampler {
-    cpu0: Option<Duration>,
-    wall0: Instant,
-}
-
-impl Default for CpuSampler {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl CpuSampler {
-    /// Capture the calling thread's current CPU time and the wall clock.
-    pub fn start() -> Self {
-        Self { cpu0: thread_cpu_time(), wall0: Instant::now() }
-    }
-
-    /// `(cpu_since_start, wall_since_start)`; CPU side is `None` where
-    /// [`thread_cpu_time`] is unsupported.
-    pub fn sample(&self) -> (Option<Duration>, Duration) {
-        let wall = self.wall0.elapsed();
-        let cpu = match (self.cpu0, thread_cpu_time()) {
-            (Some(a), Some(b)) => Some(b.saturating_sub(a)),
-            _ => None,
-        };
-        (cpu, wall)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,42 +284,5 @@ mod tests {
         assert!(lines[1].starts_with("train_iteration/ppo_epochs"), "{t}");
         assert!(lines[2].starts_with("train_iteration "), "{t}");
         assert!(lines[1].contains("900.00"), "{t}");
-    }
-
-    #[test]
-    fn parse_proc_stat_handles_hostile_comm() {
-        // comm containing spaces and a ')' — fields must count from the
-        // last ')'.
-        let line = "1234 (a b) c) R 1 1 1 0 -1 4194304 0 0 0 0 250 50 0 0 20 0 1 0 100 0 0";
-        let d = parse_proc_stat_cpu(line).unwrap();
-        assert_eq!(d, Duration::from_secs(3), "utime 250 + stime 50 ticks = 3s at USER_HZ=100");
-    }
-
-    #[test]
-    fn parse_proc_stat_rejects_garbage() {
-        assert_eq!(parse_proc_stat_cpu("no parens here"), None);
-        assert_eq!(parse_proc_stat_cpu("1 (x) R 1"), None, "too few fields");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn thread_cpu_time_is_monotonic_on_linux() {
-        let a = thread_cpu_time().expect("linux must expose /proc/thread-self/stat");
-        // Burn a little CPU so the counter can only move forward.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(acc);
-        let b = thread_cpu_time().unwrap();
-        assert!(b >= a, "thread CPU time must be monotonic: {a:?} -> {b:?}");
-    }
-
-    #[test]
-    fn cpu_sampler_reports_wall_progress() {
-        let s = CpuSampler::start();
-        std::thread::sleep(Duration::from_millis(5));
-        let (_cpu, wall) = s.sample();
-        assert!(wall >= Duration::from_millis(5));
     }
 }

@@ -1,6 +1,6 @@
 //! RAII scoped timers with nesting.
 //!
-//! [`crate::span`] returns a [`Span`] guard; on drop it accumulates the
+//! [`crate::span()`] returns a [`Span`] guard; on drop it accumulates the
 //! elapsed wall time and a call count into the global registry under its
 //! *path* — nested spans key as `outer/inner`, so `ppo_epochs` inside
 //! `train_iteration` accumulates separately from a bare `ppo_epochs`.

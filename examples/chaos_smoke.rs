@@ -37,8 +37,7 @@ fn main() {
 
     // 1. Train a small fleet and lay down durable checkpoint generations.
     let dataset = presets::purdue(7);
-    let mut env_cfg = EnvConfig::default();
-    env_cfg.horizon = 20;
+    let env_cfg = EnvConfig { horizon: 20, ..EnvConfig::default() };
     let mut env = AirGroundEnv::new(env_cfg, &dataset, 7);
     let mut trainer =
         HiMadrlTrainer::new(&env, TrainConfig::default(), 2, 7).expect("valid default config");

@@ -27,7 +27,7 @@ fn scripted_action(env: &AirGroundEnv, k: usize) -> UvAction {
             for (p, &rem) in env.poi_positions().iter().zip(env.poi_remaining()) {
                 if rem > 0.0 {
                     let d = uv.position.dist(p);
-                    if best.map_or(true, |(_, bd)| d < bd) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
                         best = Some((*p, d));
                     }
                 }
@@ -71,17 +71,14 @@ fn main() {
     );
 
     // 3. A lighter fleet than the paper default: 1 UAV + 2 UGVs, 60 slots.
-    let mut env_cfg = EnvConfig::default();
-    env_cfg.num_uavs = 1;
-    env_cfg.num_ugvs = 2;
-    env_cfg.horizon = 60;
+    let env_cfg = EnvConfig { num_uavs: 1, num_ugvs: 2, horizon: 60, ..EnvConfig::default() };
     let mut env = AirGroundEnv::new(env_cfg, &dataset, 2024);
 
     // 4. Run the scripted campaign.
     while !env.is_done() {
         let actions: Vec<UvAction> = (0..env.num_uvs()).map(|k| scripted_action(&env, k)).collect();
         let step = env.step(&actions);
-        if env.timeslot() % 15 == 0 {
+        if env.timeslot().is_multiple_of(15) {
             let collected: f64 = step.collection.collected_per_uv.iter().sum();
             println!(
                 "  t={:>3}: collected {:>6.2} Gbit this slot, {} relay pair(s) active",

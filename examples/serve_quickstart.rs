@@ -30,8 +30,7 @@ fn main() {
     // 1. Train a small fleet briefly — enough to have real learned weights
     //    to serve, cheap enough for a smoke run.
     let dataset = presets::purdue(7);
-    let mut env_cfg = EnvConfig::default();
-    env_cfg.horizon = 20;
+    let env_cfg = EnvConfig { horizon: 20, ..EnvConfig::default() };
     let mut env = AirGroundEnv::new(env_cfg, &dataset, 7);
     let mut trainer = HiMadrlTrainer::new(&env, TrainConfig::default(), iters, 7)
         .expect("default training config must be valid");

@@ -50,8 +50,7 @@ fn main() {
         uav_traj,
         ugv_traj,
         env.start(),
-        78,
-        26,
+        (78, 26),
     );
     println!("legend: A/B = UAV tracks, a/b = UGV tracks, . = PoI, * = drained PoI, S = start\n");
     println!("{art}");

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use agsc_serve::{
     ActionOutcome, ChaosConfig, ChaosPlan, ChaosProxy, Client, ClientConfig, ClientError,
-    FakePolicy, PolicyLoader, RetryPolicy, RetryingClient, Response, ServeConfig, Server,
+    FakePolicy, PolicyLoader, Response, RetryPolicy, RetryingClient, ServeConfig, Server,
     ServerHandle,
 };
 

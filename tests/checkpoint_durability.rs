@@ -19,9 +19,7 @@ const CHILD_DIR_VAR: &str = "AGSC_KILL9_CHILD_DIR";
 
 fn env() -> AirGroundEnv {
     let dataset = presets::purdue(1);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 10;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 10, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, 5)
 }
 

@@ -12,9 +12,7 @@ use std::sync::Arc;
 
 fn run_training() -> (Vec<IterationStats>, agsc::env::Metrics) {
     let dataset = presets::purdue(3);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 20;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 20, stochastic_fading: false, ..EnvConfig::default() };
     let mut env = AirGroundEnv::new(cfg, &dataset, 3);
     let train_cfg = TrainConfig { hidden: vec![16], policy_epochs: 2, ..TrainConfig::default() };
     let mut trainer = HiMadrlTrainer::new(&env, train_cfg, 3, 3).unwrap();

@@ -32,9 +32,7 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 fn fast_env(seed: u64) -> AirGroundEnv {
     let dataset = presets::purdue(seed);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 20;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 20, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, seed)
 }
 

@@ -8,9 +8,7 @@ use agsc::madrl::{evaluate, Ablation, HiMadrlTrainer, TrainConfig};
 
 fn fast_env(dataset_seed: u64) -> AirGroundEnv {
     let dataset = presets::purdue(dataset_seed);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 25;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 25, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, dataset_seed)
 }
 
@@ -56,9 +54,7 @@ fn trained_policy_beats_random_on_efficiency() {
     // engine's derived per-replica sampler seeds) reshuffles which episodes
     // a fixed seed draws, and a 15-iteration budget leaves little margin.
     let dataset = presets::purdue(1);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 60;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 60, stochastic_fading: false, ..EnvConfig::default() };
     let mut env = AirGroundEnv::new(cfg, &dataset, 1);
 
     let random = RandomPolicy::new(1);
@@ -137,9 +133,7 @@ fn e_divert_interoperates_with_env() {
 #[test]
 fn shortest_path_plans_on_both_campuses() {
     for dataset in [presets::purdue(6), presets::ncsu(6)] {
-        let mut cfg = EnvConfig::default();
-        cfg.horizon = 30;
-        cfg.stochastic_fading = false;
+        let cfg = EnvConfig { horizon: 30, stochastic_fading: false, ..EnvConfig::default() };
         let mut env = AirGroundEnv::new(cfg, &dataset, 6);
         let ga = baselines::GaConfig { population: 12, generations: 15, ..Default::default() };
         let policy = baselines::ShortestPathPolicy::plan(&env, &ga, 6);

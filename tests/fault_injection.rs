@@ -10,9 +10,7 @@ use agsc::madrl::{HiMadrlTrainer, TrainConfig};
 use common::{check, Rng};
 
 fn base_cfg() -> EnvConfig {
-    let mut c = EnvConfig::default();
-    c.horizon = 20;
-    c
+    EnvConfig { horizon: 20, ..EnvConfig::default() }
 }
 
 fn faulty(mut c: EnvConfig) -> EnvConfig {

@@ -22,9 +22,7 @@ use agsc::nn::{gemm, GemmKernel};
 
 fn proto_env() -> AirGroundEnv {
     let dataset = presets::purdue(3);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 20;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 20, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, 7)
 }
 

@@ -417,9 +417,7 @@ const ROLLOUT_CASES: u64 = 4;
 
 fn prop_env() -> AirGroundEnv {
     let dataset = presets::purdue(2);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = PROP_HORIZON;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: PROP_HORIZON, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, 11)
 }
 
@@ -682,6 +680,168 @@ mod serve_wire {
             let mut r = &wire[..];
             let payload = agsc_serve::protocol::read_frame(&mut r).unwrap().expect("first frame");
             assert_eq!(agsc_serve::Request::decode(&payload), Ok(req));
+        });
+    }
+}
+
+// --- dist wire protocol: decoding hostile byte streams ----------------------
+//
+// Any peer that reaches the learner's port can send it bytes, so the dist
+// decoders hold the same contract as the serving ones: random bytes,
+// hostile segment shape headers and torn frames come back as typed
+// `DistError`s, never a panic, an abort or an allocation the bytes do not
+// pay for. Named `dist_wire` so CI can run exactly this module via
+// `cargo test --test properties dist_wire`.
+
+mod dist_wire {
+    use super::*;
+    use agsc::env::Metrics;
+    use agsc::madrl::Rollout;
+    use agsc_dist::codec::CODEC_VERSION;
+    use agsc_dist::proto::{
+        read_learner_msg, read_worker_msg, write_learner_msg, write_worker_msg,
+    };
+    use agsc_dist::{
+        decode_segment, encode_segment, Compression, DistError, LearnerMsg, WorkerMsg,
+    };
+
+    const CAP: usize = 1 << 20;
+
+    fn bytes(rng: &mut ChaCha8Rng, max_len: usize) -> Vec<u8> {
+        vec_of(rng, 0..max_len, |r| r.gen())
+    }
+
+    /// One of 0, 1, a small count, or `u32::MAX`.
+    fn dim(rng: &mut ChaCha8Rng) -> u32 {
+        [0, 1, rng.gen_range(2u32..8), u32::MAX][rng.gen_range(0usize..4)]
+    }
+
+    fn rollout(rng: &mut ChaCha8Rng) -> Rollout {
+        let k = rng.gen_range(1usize..4);
+        let (obs_dim, state_dim) = (rng.gen_range(0usize..5), rng.gen_range(1usize..5));
+        let mut r = Rollout::new(k);
+        for _ in 0..rng.gen_range(0usize..4) {
+            let obs: Vec<Vec<f32>> = (0..k)
+                .map(|_| (0..obs_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect();
+            let state = (0..state_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let actions: Vec<[f32; 2]> = (0..k).map(|_| [rng.gen(), rng.gen()]).collect();
+            let floats: Vec<f32> = (0..k).map(|_| rng.gen()).collect();
+            let sets = |rng: &mut ChaCha8Rng| {
+                (0..k).map(|_| vec_of(rng, 0..3, |r| r.gen_range(0..k))).collect()
+            };
+            let (het, hom) = (sets(rng), sets(rng));
+            r.push_step(&obs, state, &actions, &floats, &floats, het, hom);
+        }
+        r
+    }
+
+    /// Every message of both directions, framed: (is_worker_msg, frame).
+    fn frames(rng: &mut ChaCha8Rng) -> Vec<(bool, Vec<u8>)> {
+        let metrics = Metrics {
+            data_collection_ratio: rng.gen(),
+            data_loss_ratio: rng.gen(),
+            energy_ratio: rng.gen(),
+            fairness: rng.gen(),
+            efficiency: rng.gen(),
+        };
+        let worker = [
+            WorkerMsg::Hello { version: rng.gen(), worker_id: rng.gen() },
+            WorkerMsg::SubmitSegment {
+                generation: rng.gen(),
+                env_index: rng.gen(),
+                metrics,
+                segment: bytes(rng, 64),
+            },
+        ];
+        let learner = [
+            LearnerMsg::HelloOk { version: rng.gen() },
+            LearnerMsg::Params { generation: rng.gen(), json: "{\"v\":1}".into() },
+            LearnerMsg::Work {
+                generation: rng.gen(),
+                batch_seed: rng.gen(),
+                indices: vec_of(rng, 0..8, |r| r.gen()),
+            },
+            LearnerMsg::Ack { generation: rng.gen(), env_index: rng.gen() },
+            LearnerMsg::Shutdown,
+            LearnerMsg::Error { msg: "refused".into() },
+        ];
+        let mut out = Vec::new();
+        for m in &worker {
+            let mut wire = Vec::new();
+            write_worker_msg(&mut wire, m, CAP).unwrap();
+            out.push((true, wire));
+        }
+        for m in &learner {
+            let mut wire = Vec::new();
+            write_learner_msg(&mut wire, m, CAP).unwrap();
+            out.push((false, wire));
+        }
+        out
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoders() {
+        check(CASES, |rng| {
+            let raw = bytes(rng, 512);
+            // As a byte stream, as the payload of a well-formed frame (so
+            // the opcode parsers see it), and as a segment.
+            let mut framed = Vec::new();
+            agsc_serve::wire::write_frame_capped(&mut framed, &raw, CAP).unwrap();
+            for stream in [&raw, &framed] {
+                let _ = read_worker_msg(&mut &stream[..], CAP);
+                let _ = read_learner_msg(&mut &stream[..], CAP);
+            }
+            let _ = decode_segment(&raw);
+        });
+    }
+
+    #[test]
+    fn hostile_segment_shapes_fail_typed_without_allocating() {
+        check(CASES, |rng| {
+            // Mode byte "none", the codec version, a drawn shape header and
+            // a short random body.
+            let mut seg = vec![0u8, CODEC_VERSION];
+            for _ in 0..4 {
+                seg.extend_from_slice(&dim(rng).to_le_bytes());
+            }
+            seg.extend(bytes(rng, 64));
+            if let Err(e) = decode_segment(&seg) {
+                assert!(matches!(e, DistError::Codec(_)), "{e}");
+            }
+        });
+    }
+
+    #[test]
+    fn strict_prefixes_of_valid_frames_fail_typed() {
+        check(CASES, |rng| {
+            for (is_worker, wire) in frames(rng) {
+                let cut = rng.gen_range(1..wire.len());
+                let err = if is_worker {
+                    read_worker_msg(&mut &wire[..cut], CAP).map(drop).unwrap_err()
+                } else {
+                    read_learner_msg(&mut &wire[..cut], CAP).map(drop).unwrap_err()
+                };
+                assert!(
+                    matches!(&err, DistError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+                    "a frame cut at {cut} of {} must be a torn read, got {err}",
+                    wire.len()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn strict_prefixes_of_valid_segments_fail_typed() {
+        check(CASES, |rng| {
+            let r = rollout(rng);
+            for mode in [Compression::None, Compression::Rle] {
+                let seg = encode_segment(&r, mode);
+                assert_eq!(decode_segment(&seg).unwrap(), r);
+                let cut = rng.gen_range(0..seg.len());
+                let err = decode_segment(&seg[..cut]).unwrap_err();
+                assert!(matches!(err, DistError::Codec(_)), "cut {cut}: {err}");
+            }
         });
     }
 }

@@ -7,10 +7,7 @@ use agsc::env::{AirGroundEnv, EnvConfig, UvAction};
 use agsc::madrl::{evaluate, HiMadrlTrainer, Maddpg, MaddpgConfig, TrainConfig};
 
 fn base_cfg() -> EnvConfig {
-    let mut c = EnvConfig::default();
-    c.horizon = 15;
-    c.stochastic_fading = false;
-    c
+    EnvConfig { horizon: 15, stochastic_fading: false, ..EnvConfig::default() }
 }
 
 fn small_train() -> TrainConfig {

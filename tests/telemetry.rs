@@ -28,9 +28,7 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 
 fn fast_env(seed: u64) -> AirGroundEnv {
     let dataset = presets::purdue(seed);
-    let mut cfg = EnvConfig::default();
-    cfg.horizon = 20;
-    cfg.stochastic_fading = false;
+    let cfg = EnvConfig { horizon: 20, stochastic_fading: false, ..EnvConfig::default() };
     AirGroundEnv::new(cfg, &dataset, seed)
 }
 
@@ -97,12 +95,8 @@ fn two_iteration_run_writes_manifest_and_per_iteration_records() {
         let sink = Arc::new(tlm::JsonlSink::at_path(&path).unwrap());
         tlm::install(vec![sink], tlm::Level::Info);
 
-        let env_cfg_json = serde_json::to_string(&{
-            let mut c = EnvConfig::default();
-            c.horizon = 20;
-            c
-        })
-        .unwrap();
+        let env_cfg_json =
+            serde_json::to_string(&{ EnvConfig { horizon: 20, ..EnvConfig::default() } }).unwrap();
         tlm::RunManifest::new(5, "purdue")
             .config_json("env_config", env_cfg_json)
             .field_u64("iterations", 2)
