@@ -106,20 +106,14 @@ impl PpoAgent {
         self.actor.out_dim()
     }
 
+    /// The policy trunk.
+    pub fn actor(&self) -> &Mlp {
+        &self.actor
+    }
+
     /// Current log-σ values.
     pub fn log_std(&self) -> &[f32] {
         self.log_std.value.as_slice()
-    }
-
-    /// Policy means for a whole batch of observations (one row per replica)
-    /// in a single GEMM.
-    ///
-    /// Row `i` of the result is bit-identical to the mean computed for row
-    /// `i` alone — `Mlp::forward_batch` documents why — so the rollout
-    /// collector can batch inference across replicas without changing any
-    /// replica's action stream.
-    pub fn action_means(&self, obs: &Matrix) -> Matrix {
-        self.actor.forward_batch(obs)
     }
 
     /// Deterministic (mean) action for evaluation.
@@ -330,7 +324,7 @@ mod tests {
     #[test]
     fn act_outputs_bounded_means_and_finite_logprob() {
         let a = agent();
-        let mean = a.action_means(&Matrix::row_vector(&[0.1, 0.2, 0.3, 0.4]));
+        let mean = a.actor().forward_batch(&Matrix::row_vector(&[0.1, 0.2, 0.3, 0.4]));
         let dist = DiagGaussian::new(&mean, a.log_std());
         let action = dist.sample(&mut rng());
         assert_eq!(action.cols(), 2);

@@ -162,8 +162,8 @@ impl Checkpoint {
     /// Check the checkpoint's schema version and internal consistency.
     ///
     /// This is the shared gate in front of every consumer —
-    /// [`crate::trainer::HiMadrlTrainer::restore`] and the serving-side
-    /// [`InferencePolicy`] both call it — so an incompatible or internally
+    /// [`crate::trainer::HiMadrlTrainer::restore`] and
+    /// [`crate::actors::InferencePolicy::from_checkpoint`] both call it — so an incompatible or internally
     /// contradictory checkpoint always fails with the same typed, readable
     /// error instead of a downstream panic.
     pub fn validate(&self) -> Result<(), CheckpointError> {
@@ -424,99 +424,6 @@ impl CheckpointStore {
     }
 }
 
-/// The read-only serving view of a checkpoint: just the actor networks,
-/// loaded once and queried forever.
-///
-/// Where [`crate::trainer::HiMadrlTrainer::restore`] rebuilds the full
-/// training state (critics, optimiser moments, LCFs, RNG), an
-/// `InferencePolicy` keeps only what answering action queries needs, so a
-/// policy server can hold many generations of it cheaply and swap them
-/// atomically. Both deterministic-action paths are bit-identical to the
-/// trainer's own [`crate::trainer::HiMadrlTrainer::policy_action`] on the
-/// same checkpoint (`Mlp::forward_batch` documents why batching preserves
-/// this).
-#[derive(Debug, Clone)]
-pub struct InferencePolicy {
-    agents: Vec<PpoAgent>,
-    shared: bool,
-    obs_dim: usize,
-    num_agents: usize,
-    iterations_done: usize,
-}
-
-impl InferencePolicy {
-    /// Extract the serving view from a validated checkpoint.
-    pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Self, CheckpointError> {
-        ckpt.validate()?;
-        Ok(Self {
-            agents: ckpt.agents.clone(),
-            shared: ckpt.config.shared_params,
-            obs_dim: ckpt.obs_dim,
-            num_agents: ckpt.num_agents,
-            iterations_done: ckpt.iterations_done,
-        })
-    }
-
-    /// Load a checkpoint file and extract the serving view.
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        Self::from_checkpoint(&Checkpoint::load_json(path)?)
-    }
-
-    /// Observation dimensionality every query must match.
-    pub fn obs_dim(&self) -> usize {
-        self.obs_dim
-    }
-
-    /// Fleet size: valid agent ids are `0..num_agents`.
-    pub fn num_agents(&self) -> usize {
-        self.num_agents
-    }
-
-    /// Training iterations behind this policy (checkpoint provenance).
-    pub fn iterations_done(&self) -> usize {
-        self.iterations_done
-    }
-
-    fn agent_idx(&self, k: usize) -> usize {
-        if self.shared {
-            0
-        } else {
-            k
-        }
-    }
-
-    /// Greedy (mean) action `[heading, speed]` for agent `k`.
-    ///
-    /// Panics if `k` or the observation length is out of range — servers
-    /// validate queries at the protocol boundary before reaching this.
-    pub fn action(&self, k: usize, obs: &[f32]) -> [f32; 2] {
-        assert!(k < self.num_agents, "agent id {k} out of range ({})", self.num_agents);
-        assert_eq!(obs.len(), self.obs_dim, "observation length mismatch");
-        let a = self.agents[self.agent_idx(k)].act_deterministic(obs);
-        [a[0], a[1]]
-    }
-
-    /// Greedy actions for a whole batch of same-agent observations in one
-    /// GEMM: `obs_rows` is `rows` concatenated observations of length
-    /// [`obs_dim`](Self::obs_dim). Row `i` of the result is bit-identical
-    /// to [`action`](Self::action)`(k, row_i)`.
-    pub fn actions(&self, k: usize, obs_rows: &[f32], rows: usize) -> Vec<[f32; 2]> {
-        assert!(k < self.num_agents, "agent id {k} out of range ({})", self.num_agents);
-        assert_eq!(obs_rows.len(), rows * self.obs_dim, "batch shape mismatch");
-        if rows == 0 {
-            return Vec::new();
-        }
-        let batch = agsc_nn::Matrix::from_vec(rows, self.obs_dim, obs_rows.to_vec());
-        let means = self.agents[self.agent_idx(k)].action_means(&batch);
-        (0..rows)
-            .map(|i| {
-                let r = means.row(i);
-                [r[0], r[1]]
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,54 +558,6 @@ mod tests {
         let mut bad = good.clone();
         bad.agents.clear();
         assert!(matches!(bad.validate(), Err(CheckpointError::Inconsistent(_))));
-    }
-
-    #[test]
-    fn inference_policy_matches_trainer_actions_bitwise() {
-        let mut e = env();
-        let mut t = HiMadrlTrainer::new(&e, small_cfg(), 3, 9).unwrap();
-        t.train(&mut e, 2);
-        let policy = InferencePolicy::from_checkpoint(&t.checkpoint()).unwrap();
-        assert_eq!(policy.num_agents(), 4);
-        assert_eq!(policy.obs_dim(), t.obs_dim());
-        assert_eq!(policy.iterations_done(), 2);
-        // Single-row path.
-        for k in 0..4 {
-            let obs: Vec<f32> = (0..t.obs_dim()).map(|i| (i as f32 + k as f32) * 0.01).collect();
-            let [h, s] = policy.action(k, &obs);
-            let direct = t.policy_action(k, &obs);
-            assert_eq!(h as f64, direct.heading);
-            assert_eq!(s as f64, direct.speed);
-        }
-        // Batched path: every row bit-identical to its single-row action.
-        let rows = 5;
-        let obs_rows: Vec<f32> =
-            (0..rows * t.obs_dim()).map(|i| (i % 13) as f32 * 0.03 - 0.2).collect();
-        let batched = policy.actions(1, &obs_rows, rows);
-        assert_eq!(batched.len(), rows);
-        for (i, &[h, s]) in batched.iter().enumerate() {
-            let row = &obs_rows[i * t.obs_dim()..(i + 1) * t.obs_dim()];
-            let single = policy.action(1, row);
-            assert_eq!(h.to_bits(), single[0].to_bits(), "row {i} heading diverged");
-            assert_eq!(s.to_bits(), single[1].to_bits(), "row {i} speed diverged");
-        }
-        assert!(policy.actions(0, &[], 0).is_empty());
-    }
-
-    #[test]
-    fn inference_policy_load_rejects_bad_versions() {
-        let dir = std::env::temp_dir().join("agsc_infer_badver_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        let e = env();
-        let t = HiMadrlTrainer::new(&e, small_cfg(), 2, 9).unwrap();
-        let mut ckpt = t.checkpoint();
-        ckpt.version = 42;
-        // A well-formed file of the wrong declared version still fails typed.
-        std::fs::write(&path, serde_json::to_string(&ckpt).unwrap()).unwrap();
-        let err = InferencePolicy::load(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Version { found: 42, .. }), "got {err:?}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

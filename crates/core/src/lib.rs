@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod actors;
 pub mod agent;
 pub mod checkpoint;
 pub mod config;
@@ -27,10 +28,12 @@ pub mod parallel;
 pub mod rollout;
 pub mod trainer;
 
+/// The network stack the actors and critics are built from.
+pub use agsc_nn as nn;
+
+pub use actors::{Actor, ActorRef, ActorSet, FleetShape, InferencePolicy, ACTION_DIM};
 pub use agent::{CriticKind, CriticStats, PpoAgent, PpoStats};
-pub use checkpoint::{
-    remove_stale_tmp, Checkpoint, CheckpointStore, InferencePolicy, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{remove_stale_tmp, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 pub use config::{Ablation, IntrinsicSchedule, TrainConfig};
 pub use copo::Lcf;
 pub use diagnostics::{

@@ -5,18 +5,17 @@
 //! advantages (lines 14-20, Eqns 27-28); update the overall value network;
 //! then run `M2` meta-gradient epochs on the LCFs (lines 21-23, Eqns 30-32).
 
+use crate::actors::{ActorRef, ActorSet, FleetShape};
 use crate::agent::{CriticKind, CriticStats, PpoAgent, PpoStats};
 use crate::config::TrainConfig;
 use crate::copo::{neighbor_range_m, Lcf};
 use crate::eoi::EoiClassifier;
 use crate::error::TrainError;
 use crate::gae::{gae_segmented, normalize_advantages};
-use crate::parallel::{resolve_workers, scoped_map, scoped_shards};
+use crate::parallel::{resolve_workers, scoped_map};
 use crate::rollout::{NeighborKind, Rollout};
-use agsc_env::{
-    derive_env_seed, derive_sampler_seed, shard_ranges, AirGroundEnv, Metrics, UvAction, VecEnv,
-};
-use agsc_nn::{Adam, DiagGaussian, Matrix, Mlp, RunningStat};
+use agsc_env::{shard_ranges, AirGroundEnv, Metrics, UvAction, VecEnv};
+use agsc_nn::{Adam, Matrix, Mlp, RunningStat};
 use agsc_telemetry as tlm;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -244,18 +243,18 @@ impl HiMadrlTrainer {
     /// One episode from replica `env_index` of the batch seeded by
     /// `batch_seed`, collected as a one-env shard.
     ///
-    /// Resets `env` with [`derive_env_seed`] and samples actions from a
-    /// dedicated RNG seeded by [`derive_sampler_seed`], so the result is a
-    /// pure function of the trainer parameters and `(batch_seed, env_index)`
-    /// and equals replica `env_index` of a vectorized collection.
+    /// Resets `env` with [`agsc_env::derive_env_seed`] and samples actions
+    /// from a dedicated RNG seeded by [`agsc_env::derive_sampler_seed`], so
+    /// the result is a pure function of the actor parameters and
+    /// `(batch_seed, env_index)` and equals replica `env_index` of a
+    /// vectorized collection.
     pub fn collect_rollout_indexed(
         &self,
         env: &mut AirGroundEnv,
         batch_seed: u64,
         env_index: usize,
     ) -> Rollout {
-        let mut rollouts = self.collect_envs(std::slice::from_mut(env), batch_seed, env_index);
-        rollouts.pop().expect("one env yields one rollout")
+        self.actor_set().collect_one(env, batch_seed, env_index)
     }
 
     /// Collect one episode per replica of `venv`, in parallel, drawing one
@@ -278,116 +277,21 @@ impl HiMadrlTrainer {
     /// Seeded parallel collection: one rollout per replica, in fixed env
     /// order, independent of the worker count.
     pub fn collect_rollout_vec_seeded(&self, venv: &mut VecEnv, batch_seed: u64) -> Vec<Rollout> {
-        self.collect_envs(venv.envs_mut(), batch_seed, 0)
+        self.actor_set().collect(venv.envs_mut(), batch_seed, 0, self.cfg.rollout_workers)
     }
 
-    /// The one collection path: one episode per env of `envs`, whose first
-    /// env has global index `first_index` in the batch seeded by
-    /// `batch_seed`.
-    ///
-    /// The envs are sharded contiguously over
-    /// [`resolve_workers`]`(cfg.rollout_workers, envs.len())` threads
-    /// ([`scoped_shards`]); each shard resets and steps its envs in lockstep
-    /// with batched policy inference. Because every env owns its derived
-    /// sampler RNG and shards are joined in env order, the returned
-    /// rollouts are a pure function of `(parameters, batch_seed,
-    /// first_index)` — worker count only changes wall-clock.
-    fn collect_envs(
-        &self,
-        envs: &mut [AirGroundEnv],
-        batch_seed: u64,
-        first_index: usize,
-    ) -> Vec<Rollout> {
-        let _span = tlm::span("collect_rollout");
-        let num_envs = envs.len();
-        let workers = resolve_workers(self.cfg.rollout_workers, num_envs);
-        let started = tlm::is_enabled().then(std::time::Instant::now);
-        let rollouts = scoped_shards(workers, envs, |base, shard| {
-            self.collect_shard(shard, batch_seed, first_index + base)
-        });
-        if let Some(t0) = started {
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            let steps: usize = rollouts.iter().map(Rollout::len).sum();
-            tlm::gauge_set("rollout_envs_per_sec", num_envs as f64 / secs);
-            tlm::gauge_set("rollout_samples_per_sec", (steps * self.num_agents) as f64 / secs);
-        }
-        rollouts
-    }
-
-    /// Collect one episode from each replica of a contiguous shard
-    /// (`base_index` is the first replica's global env index), stepping the
-    /// replicas in lockstep so each policy forward covers the whole shard in
-    /// one GEMM.
-    fn collect_shard(
-        &self,
-        envs: &mut [AirGroundEnv],
-        batch_seed: u64,
-        base_index: usize,
-    ) -> Vec<Rollout> {
-        let _span = tlm::span("rollout_shard");
-        let n = envs.len();
-        let mut samplers: Vec<ChaCha8Rng> = (0..n)
-            .map(|j| ChaCha8Rng::seed_from_u64(derive_sampler_seed(batch_seed, base_index + j)))
-            .collect();
-        for (j, env) in envs.iter_mut().enumerate() {
-            env.reset(derive_env_seed(batch_seed, base_index + j));
-        }
-        let mut rollouts: Vec<Rollout> = (0..n).map(|_| Rollout::new(self.num_agents)).collect();
-        while envs.iter().any(|e| !e.is_done()) {
-            // Replicas are clones sharing one horizon, so they finish
-            // together; lockstep is what lets one GEMM serve the shard.
-            debug_assert!(envs.iter().all(|e| !e.is_done()), "replicas must step in lockstep");
-            let all_obs: Vec<Vec<Vec<f32>>> = envs.iter().map(|e| e.observations()).collect();
-            let mut actions_env: Vec<Vec<UvAction>> = vec![Vec::with_capacity(self.num_agents); n];
-            let mut actions: Vec<Vec<[f32; 2]>> = vec![Vec::with_capacity(self.num_agents); n];
-            let mut log_probs: Vec<Vec<f32>> = vec![Vec::with_capacity(self.num_agents); n];
-            for k in 0..self.num_agents {
-                let ai = self.agent_idx(k);
-                let mut data = Vec::with_capacity(n * self.obs_dim);
-                for o in &all_obs {
-                    data.extend_from_slice(&o[k]);
-                }
-                let batch = Matrix::from_vec(n, self.obs_dim, data);
-                // Row j of the batched means is bit-identical to the mean a
-                // single-row forward computes for replica j (see
-                // `Mlp::forward_batch`), so with each replica sampling from
-                // its own derived RNG, its actions do not depend on the
-                // shard it lands in.
-                let means = self.agents[ai].action_means(&batch);
-                for j in 0..n {
-                    let mean = Matrix::row_vector(means.row(j));
-                    let dist = DiagGaussian::new(&mean, self.agents[ai].log_std());
-                    let a = dist.sample(&mut samplers[j]);
-                    let lp = dist.log_prob(&a)[0];
-                    let a = a.as_slice();
-                    actions_env[j].push(UvAction { heading: a[0] as f64, speed: a[1] as f64 });
-                    actions[j].push([a[0], a[1]]);
-                    log_probs[j].push(lp);
-                }
-            }
-            for (j, env) in envs.iter_mut().enumerate() {
-                let state = env.global_state();
-                let step = env.step(&actions_env[j]);
-                rollouts[j].add_collected(&step.collection.collected_per_uv);
-                let rewards: Vec<f32> = step.rewards.iter().map(|&r| r as f32).collect();
-                let mut het = vec![Vec::new(); self.num_agents];
-                for &(u, g) in env.relay_pairs() {
-                    het[u].push(g);
-                    het[g].push(u);
-                }
-                let hom = env.homogeneous_neighbors(self.neighbor_range);
-                rollouts[j].push_step(
-                    &all_obs[j],
-                    state,
-                    &actions[j],
-                    &log_probs[j],
-                    &rewards,
-                    het,
-                    hom,
-                );
-            }
-        }
-        rollouts
+    /// The actors, borrowed: what collection and the dist parameter
+    /// broadcast need, without the critics or optimiser state.
+    pub fn actor_set(&self) -> ActorSet<'_> {
+        let actors =
+            self.agents.iter().map(|a| ActorRef { net: a.actor(), log_std: a.log_std() }).collect();
+        let shape = FleetShape {
+            shared: self.cfg.shared_params,
+            obs_dim: self.obs_dim,
+            num_agents: self.num_agents,
+            neighbor_range_m: self.neighbor_range,
+        };
+        ActorSet::new(actors, shape)
     }
 
     /// Compound rewards (Eqn 19): extrinsic plus weighted identity
@@ -476,7 +380,7 @@ impl HiMadrlTrainer {
     fn train_iteration_envs(&mut self, envs: &mut [AirGroundEnv]) -> IterationStats {
         self.run_iteration(|t| {
             let batch_seed = t.next_batch_seed();
-            let rollouts = t.collect_envs(envs, batch_seed, 0);
+            let rollouts = t.actor_set().collect(envs, batch_seed, 0, t.cfg.rollout_workers);
             let metrics: Vec<Metrics> = envs.iter().map(AirGroundEnv::metrics).collect();
             (rollouts, Metrics::mean(&metrics))
         })

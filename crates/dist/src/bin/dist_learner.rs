@@ -66,6 +66,7 @@ fn main() -> ExitCode {
         println!("VERIFY OK: distributed == single-process reference ({} bytes)", ref_json.len());
     }
 
+    agsc_telemetry::emit_profile();
     agsc_telemetry::flush();
     ExitCode::SUCCESS
 }

@@ -19,7 +19,9 @@ fn main() -> ExitCode {
     let env = setup::quickstart_env(seed);
     let cfg = WorkerConfig::new(addr, worker_id);
     println!("worker {worker_id} -> {addr}, seed {seed}, compression {:?}", cfg.compression);
-    match run_worker(&env, &cfg) {
+    let exit = run_worker(&env, &cfg);
+    agsc_telemetry::emit_profile();
+    match exit {
         Ok(WorkerExit::Finished) => {
             println!("worker {worker_id}: fleet shut down cleanly");
             agsc_telemetry::flush();

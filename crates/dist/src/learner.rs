@@ -35,13 +35,14 @@ use std::time::{Duration, Instant};
 
 use agsc_env::Metrics;
 use agsc_madrl::{HiMadrlTrainer, IterationStats, Rollout};
+use agsc_serve::wire::{setup_stream, write_frame_capped};
 use agsc_telemetry::{self as tlm, knobs};
 
 use crate::codec::decode_segment;
 use crate::error::DistError;
 use crate::proto::{
-    max_frame_bytes, read_worker_msg, required, write_learner_msg, LearnerMsg, WorkerMsg,
-    PROTOCOL_VERSION,
+    max_frame_bytes, params_payload, read_worker_msg, required, write_learner_msg, LearnerMsg,
+    WorkerMsg, PROTOCOL_VERSION,
 };
 
 /// Learner-side tuning.
@@ -98,8 +99,9 @@ struct LearnerState {
     generation: u64,
     /// The generation's single trainer-RNG draw.
     batch_seed: u64,
-    /// Checkpoint JSON of the generation's parameters.
-    params: Arc<String>,
+    /// The generation's whole `Params` frame payload, encoded once and
+    /// sent as-is to every worker.
+    params: Arc<[u8]>,
     /// Unassigned shard indices of the current generation.
     pending: VecDeque<u32>,
     /// Reassembly buffer, keyed by env index — iteration order is env
@@ -148,7 +150,7 @@ impl Learner {
             state: Mutex::new(LearnerState {
                 generation: 0,
                 batch_seed: 0,
-                params: Arc::new(String::new()),
+                params: Arc::from(Vec::new()),
                 pending: VecDeque::new(),
                 received: BTreeMap::new(),
                 expected: cfg.total_shards,
@@ -199,15 +201,19 @@ impl Learner {
         let _span = tlm::span("dist_generation");
         let started = Instant::now();
         let batch_seed = self.trainer.next_batch_seed();
-        let json = serde_json::to_string(&self.trainer.checkpoint())
-            .map_err(|e| DistError::Params(e.to_string()))?;
-        let generation;
+        // Only this thread advances the generation, so it can encode the
+        // next one's parameters outside the lock.
+        let generation = self.shared.state.lock().expect("dist state poisoned").generation + 1;
+        let params = {
+            let _span = tlm::span("dist_params_encode");
+            let t = &self.trainer;
+            Arc::from(params_payload(generation, &t.actor_set(), t.iterations_done()))
+        };
         {
             let mut st = self.shared.state.lock().expect("dist state poisoned");
-            st.generation += 1;
-            generation = st.generation;
+            st.generation = generation;
             st.batch_seed = batch_seed;
-            st.params = Arc::new(json);
+            st.params = params;
             st.pending = (0..st.expected as u32).collect();
             st.received.clear();
             self.shared.cv.notify_all();
@@ -298,8 +304,8 @@ fn requeue(shared: &Shared, generation: u64, indices: &[u32]) {
 
 /// What the handler's wait loop decided to do next.
 enum Next {
-    /// Broadcast these parameters, then come back for work.
-    Params { generation: u64, json: Arc<String> },
+    /// Broadcast this `Params` payload, then come back for work.
+    Params { generation: u64, payload: Arc<[u8]> },
     /// Collect these indices under the already-sent generation.
     Work { generation: u64, batch_seed: u64, indices: Vec<u32> },
     /// Training is over.
@@ -307,6 +313,7 @@ enum Next {
 }
 
 fn handle_worker(mut stream: TcpStream, shared: &Shared) -> Result<(), DistError> {
+    let _ = setup_stream(&stream);
     // Handshake first, before counting the worker as connected.
     let worker_id = match read_worker_msg(&mut stream, shared.cap)? {
         Some(WorkerMsg::Hello { version, worker_id }) if version == PROTOCOL_VERSION => worker_id,
@@ -346,7 +353,8 @@ fn worker_session(stream: &mut TcpStream, shared: &Shared) -> Result<(), DistErr
                     break Next::Shutdown;
                 }
                 if st.generation > 0 && st.generation != sent_gen {
-                    break Next::Params { generation: st.generation, json: Arc::clone(&st.params) };
+                    let payload = Arc::clone(&st.params);
+                    break Next::Params { generation: st.generation, payload };
                 }
                 if st.generation == sent_gen && !st.pending.is_empty() {
                     let n = shared.chunk.min(st.pending.len());
@@ -361,13 +369,10 @@ fn worker_session(stream: &mut TcpStream, shared: &Shared) -> Result<(), DistErr
                 let _ = write_learner_msg(stream, &LearnerMsg::Shutdown, shared.cap);
                 return Ok(());
             }
-            Next::Params { generation, json } => {
-                write_learner_msg(
-                    stream,
-                    &LearnerMsg::Params { generation, json: (*json).clone() },
-                    shared.cap,
-                )?;
+            Next::Params { generation, payload } => {
+                write_frame_capped(stream, &payload, shared.cap)?;
                 tlm::counter_add("dist.params_tx", 1);
+                tlm::counter_add("dist.params_bytes_tx", payload.len() as u64);
                 sent_gen = generation;
             }
             Next::Work { generation, batch_seed, indices } => {

@@ -4,7 +4,10 @@
 //! length-prefixed, optionally RLE-compressed rollout segments to a
 //! learner over TCP; the learner reassembles them in env-index order,
 //! updates through `train_iteration_from_rollouts`, and broadcasts the next
-//! parameter generation back. The FD-MAPPO-style many-collector/one-
+//! generation's actors back as a binary actor frame. A worker holds an
+//! actor set — an actor-only `InferencePolicy` — and nothing else: no
+//! critics, `V_all`, LCFs, classifier or optimiser state, the paper's
+//! decentralised execution (§V). The FD-MAPPO-style many-collector/one-
 //! learner shape, composed from pieces the workspace already has: the
 //! shared wire framing and retry backoff from `agsc-serve`, the seeded
 //! shard derivation from `agsc-env`, and the trainer split from
@@ -21,10 +24,11 @@
 //!    per generation ([`HiMadrlTrainer::next_batch_seed`]), the same
 //!    single draw `collect_rollout_vec` makes; shard seeds derive from it
 //!    via `derive_env_seed`/`derive_sampler_seed`, pure in the env index.
-//! 2. **Pure shards** — a worker's `collect_rollout_indexed` is a pure
-//!    function of (parameters, batch_seed, env_index); parameters travel
-//!    as checkpoint JSON whose `f32`s round-trip bit-exactly
-//!    (`serde_json` with `float_roundtrip`).
+//! 2. **Pure shards** — a worker's one-env collection
+//!    (`ActorSet::collect_one`, the collector `collect_rollout_indexed`
+//!    runs) is a pure function of (actors, batch_seed, env_index); the
+//!    actors travel as raw little-endian `f32` bits ([`actor_frame`]), so
+//!    they round-trip bit-exactly by construction.
 //! 3. **Deterministic reassembly** — the learner buffers segments in a
 //!    `BTreeMap<env_index, _>` and concatenates in key order; lockstep
 //!    generation barriers mean no worker ever collects generation `g`
@@ -36,12 +40,13 @@
 //!
 //! * [`proto`] — the wire messages (`Hello`/`Params`/`Work`/
 //!   `SubmitSegment`/`Ack`/`Shutdown`) over the shared framing.
+//! * [`actor_frame`] — the versioned binary actor frame `Params` carries.
 //! * [`codec`] — the versioned binary rollout-segment codec and its
 //!   zero-run RLE compression envelope.
 //! * [`learner`] — the accept loop, per-worker handler threads, shard
 //!   assignment/reassignment, and the generation barrier.
-//! * [`worker`] — the collect-and-submit loop with backoff reconnects and
-//!   the chaos suite's desertion hook.
+//! * [`worker`] — the collect-and-submit loop over the worker's actor
+//!   set, with backoff reconnects and the chaos suite's desertion hook.
 //! * [`setup`] — one shared world construction for every process in a
 //!   fleet (bins, example, CI smoke).
 //!
@@ -68,6 +73,7 @@
 
 #![warn(missing_docs)]
 
+pub mod actor_frame;
 pub mod codec;
 pub mod error;
 pub mod learner;

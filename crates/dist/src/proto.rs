@@ -3,18 +3,19 @@
 //!
 //! Frames carry one opcode byte followed by fixed-width little-endian
 //! fields, read and written only through `agsc_serve::wire` (the codec the
-//! serving protocol shares); variable payloads (parameter JSON, rollout segments) occupy the
-//! remainder of the frame. The serving protocol's 1 MiB cap is too small
-//! for parameter broadcasts — a default-sized checkpoint's JSON runs to
-//! tens of MiB — so every dist read/write goes through the `_capped` wire
-//! variants with the (configurable) [`max_frame_bytes`] ceiling.
+//! serving protocol shares); variable payloads (the actor frame, rollout
+//! segments) occupy the remainder of the frame. The serving protocol's
+//! 1 MiB cap is too small for dist payloads — 20 actors of the default
+//! width make a 2 MiB actor frame, and a segment grows with horizon ×
+//! agents × obs_dim — so every dist read/write goes through the `_capped`
+//! wire variants with the (configurable) [`max_frame_bytes`] ceiling.
 //!
 //! | dir | opcode | message | fields |
 //! |-----|--------|---------|--------|
 //! | W→L | `0x31` | `Hello` | version u8, worker_id u64 |
 //! | W→L | `0x32` | `SubmitSegment` | generation u64, env_index u32, metrics 5×f64, segment bytes |
 //! | L→W | `0xB1` | `HelloOk` | version u8 |
-//! | L→W | `0xB2` | `Params` | generation u64, checkpoint JSON |
+//! | L→W | `0xB2` | `Params` | generation u64, actor frame ([`crate::actor_frame`]) |
 //! | L→W | `0xB3` | `Work` | generation u64, batch_seed u64, count u32, env indices u32× |
 //! | L→W | `0xB4` | `Ack` | generation u64, env_index u32 |
 //! | L→W | `0xB5` | `Shutdown` | — |
@@ -23,12 +24,17 @@
 use std::io::{Read, Write};
 
 use agsc_env::Metrics;
+use agsc_madrl::{ActorSet, InferencePolicy};
 use agsc_serve::wire::{read_frame_capped, write_frame_capped, DecodeError, Put, Reader};
+use agsc_telemetry as tlm;
 
+use crate::actor_frame::{put_actor_frame, read_actor_frame};
 use crate::error::DistError;
 
-/// Dist protocol version, checked during the hello handshake.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Dist protocol version, checked during the hello handshake. Version 2
+/// carries `Params` as the binary actor frame; version 1 carried the whole
+/// checkpoint as JSON.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default frame-payload ceiling: 64 MiB fits any realistic parameter
 /// broadcast while still bounding a corrupt length prefix.
@@ -74,13 +80,13 @@ pub enum LearnerMsg {
         /// Learner's [`PROTOCOL_VERSION`].
         version: u8,
     },
-    /// Parameter broadcast: the full checkpoint as JSON (bit-exact f32
-    /// round-trip via `serde_json`'s `float_roundtrip`).
+    /// Parameter broadcast: the actors the generation collects with, as a
+    /// binary actor frame (raw `f32` bits, so bit-exact by construction).
     Params {
         /// Generation these parameters begin.
         generation: u64,
-        /// Checkpoint JSON.
-        json: String,
+        /// The actor-only policy.
+        policy: InferencePolicy,
     },
     /// A batch of shard assignments to collect under the already-broadcast
     /// parameters of `generation`.
@@ -175,6 +181,19 @@ pub fn read_worker_msg(r: &mut impl Read, cap: usize) -> Result<Option<WorkerMsg
     Ok(Some(msg))
 }
 
+/// The whole `Params` frame payload for `actors`. The learner builds it
+/// once per generation and sends the same bytes to every worker.
+pub(crate) fn params_payload(
+    generation: u64,
+    actors: &ActorSet<'_>,
+    iterations_done: usize,
+) -> Vec<u8> {
+    let mut p = vec![0xB2];
+    p.put_u64(generation);
+    put_actor_frame(&mut p, actors, iterations_done);
+    p
+}
+
 /// Serialize and frame one learner→worker message.
 pub fn write_learner_msg(
     w: &mut impl Write,
@@ -184,10 +203,8 @@ pub fn write_learner_msg(
     let mut p = Vec::new();
     match msg {
         LearnerMsg::HelloOk { version } => p.extend_from_slice(&[0xB1, *version]),
-        LearnerMsg::Params { generation, json } => {
-            p.push(0xB2);
-            p.put_u64(*generation);
-            p.extend_from_slice(json.as_bytes());
+        LearnerMsg::Params { generation, policy } => {
+            p = params_payload(*generation, &policy.actor_set(), policy.iterations_done());
         }
         LearnerMsg::Work { generation, batch_seed, indices } => {
             p.push(0xB3);
@@ -221,9 +238,8 @@ pub fn read_learner_msg(r: &mut impl Read, cap: usize) -> Result<Option<LearnerM
         0xB1 => LearnerMsg::HelloOk { version: c.u8()? },
         0xB2 => {
             let generation = c.u64()?;
-            let json = String::from_utf8(c.rest().to_vec())
-                .map_err(|_| DistError::Protocol("params JSON is not UTF-8".into()))?;
-            LearnerMsg::Params { generation, json }
+            let _span = tlm::span("dist_params_decode");
+            LearnerMsg::Params { generation, policy: read_actor_frame(c.rest())? }
         }
         0xB3 => {
             let (generation, batch_seed) = (c.u64()?, c.u64()?);
@@ -276,11 +292,17 @@ mod tests {
         assert_eq!(read_worker_msg(&mut r, 1 << 20).unwrap(), None, "clean EOF");
     }
 
+    fn policy() -> InferencePolicy {
+        let env = crate::setup::quickstart_env(3);
+        let trainer = crate::setup::quickstart_trainer(&env, 2, 3).unwrap();
+        InferencePolicy::from_checkpoint(&trainer.checkpoint()).unwrap()
+    }
+
     #[test]
     fn learner_messages_round_trip() {
         let msgs = [
             LearnerMsg::HelloOk { version: PROTOCOL_VERSION },
-            LearnerMsg::Params { generation: 1, json: "{\"version\":3}".into() },
+            LearnerMsg::Params { generation: 1, policy: policy() },
             LearnerMsg::Work { generation: 1, batch_seed: 0xDEAD_BEEF, indices: vec![0, 2, 5] },
             LearnerMsg::Ack { generation: 1, env_index: 2 },
             LearnerMsg::Shutdown,
@@ -329,7 +351,7 @@ mod tests {
 
     #[test]
     fn oversize_params_refused_by_the_cap_on_both_sides() {
-        let big = LearnerMsg::Params { generation: 1, json: "x".repeat(4096) };
+        let big = LearnerMsg::Params { generation: 1, policy: policy() };
         let mut wire = Vec::new();
         let err = write_learner_msg(&mut wire, &big, 1024).unwrap_err();
         assert!(matches!(err, DistError::Io(_)), "{err}");

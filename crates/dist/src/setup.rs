@@ -5,9 +5,9 @@
 //! *same* environment prototype and the learner to seed its trainer the
 //! way the single-process reference would. Both are pure functions of the
 //! seed, defined once here, so a learner and its workers can only drift if
-//! they were launched with different seeds — which the obs-dim handshake
-//! then catches only when the shapes differ, hence: one function, both
-//! bins.
+//! they were launched with different seeds — which a worker's check of
+//! every `Params` (fleet size and obs_dim) then catches only when the
+//! shapes differ, hence: one function, both bins.
 
 use std::net::SocketAddr;
 

@@ -1,12 +1,14 @@
 //! The rollout worker: connects to the learner, receives parameter
-//! broadcasts and shard assignments, collects episodes with the serial
-//! reference collector, and streams encoded segments back.
+//! broadcasts and shard assignments, collects episodes with the one
+//! rollout collector, and streams encoded segments back.
 //!
-//! Every collected shard is a pure function of (broadcast parameters,
-//! batch_seed, env_index) — the worker holds no RNG state of its own
-//! across assignments (the restored trainer's RNG is never used by
-//! `collect_rollout_indexed`), which is what makes worker count, shard
-//! chunking, and reassignment after faults invisible to training.
+//! The worker holds an actor set and nothing else: each `Params`
+//! broadcast decodes into an actor-only [`InferencePolicy`], checked
+//! against the worker's env before it replaces the previous one. Every
+//! collected shard is a pure function of (broadcast actors, batch_seed,
+//! env_index) — the worker holds no RNG state of its own across
+//! assignments — which is what makes worker count, shard chunking, and
+//! reassignment after faults invisible to training.
 //!
 //! Transport faults reconnect under the serve crate's decorrelated-jitter
 //! [`Backoff`]; any session progress (params or an acked segment) resets
@@ -17,7 +19,8 @@
 use std::net::{SocketAddr, TcpStream};
 
 use agsc_env::AirGroundEnv;
-use agsc_madrl::HiMadrlTrainer;
+use agsc_madrl::InferencePolicy;
+use agsc_serve::wire::setup_stream;
 use agsc_serve::{Backoff, RetryPolicy};
 use agsc_telemetry::{self as tlm, knobs};
 
@@ -83,7 +86,7 @@ enum SessionEnd {
 /// episode is collected on a clone of it.
 pub fn run_worker(env_proto: &AirGroundEnv, cfg: &WorkerConfig) -> Result<WorkerExit, DistError> {
     let mut env = env_proto.clone();
-    let mut trainer: Option<HiMadrlTrainer> = None;
+    let mut policy: Option<InferencePolicy> = None;
     let mut submitted = 0u64;
     let mut params_seen = 0u64;
     let mut backoff = Backoff::new(&cfg.retry);
@@ -92,7 +95,8 @@ pub fn run_worker(env_proto: &AirGroundEnv, cfg: &WorkerConfig) -> Result<Worker
     loop {
         let before = (submitted, params_seen);
         let attempt = TcpStream::connect(cfg.addr).map_err(DistError::from).and_then(|mut s| {
-            run_session(&mut s, &mut env, &mut trainer, &mut submitted, &mut params_seen, cfg)
+            setup_stream(&s)?;
+            run_session(&mut s, &mut env, &mut policy, &mut submitted, &mut params_seen, cfg)
         });
         match attempt {
             Ok(SessionEnd::Finished) => return Ok(WorkerExit::Finished),
@@ -125,7 +129,7 @@ pub fn run_worker(env_proto: &AirGroundEnv, cfg: &WorkerConfig) -> Result<Worker
 fn run_session(
     stream: &mut TcpStream,
     env: &mut AirGroundEnv,
-    trainer: &mut Option<HiMadrlTrainer>,
+    policy: &mut Option<InferencePolicy>,
     submitted: &mut u64,
     params_seen: &mut u64,
     cfg: &WorkerConfig,
@@ -149,30 +153,28 @@ fn run_session(
     loop {
         let msg = required(read_learner_msg(stream, cap)?, "learner closed the session")?;
         match msg {
-            LearnerMsg::Params { generation, json } => {
-                let ckpt: agsc_madrl::Checkpoint =
-                    serde_json::from_str(&json).map_err(|e| DistError::Params(e.to_string()))?;
-                let restored = HiMadrlTrainer::restore(&ckpt, 0)
-                    .map_err(|e| DistError::Params(e.to_string()))?;
-                if restored.obs_dim() != env.obs_dim() {
+            LearnerMsg::Params { generation, policy: p } => {
+                let (ours, theirs) =
+                    ((env.num_uvs(), env.obs_dim()), (p.num_agents(), p.obs_dim()));
+                if ours != theirs {
                     return Err(DistError::ShapeMismatch(format!(
-                        "params obs_dim {} vs env obs_dim {}",
-                        restored.obs_dim(),
-                        env.obs_dim()
+                        "params for {} agents with obs_dim {}, env has {} UVs with obs_dim {}",
+                        theirs.0, theirs.1, ours.0, ours.1
                     )));
                 }
-                *trainer = Some(restored);
+                *policy = Some(p);
                 *params_seen += 1;
                 tlm::counter_add("dist.params_rx", 1);
                 tlm::gauge_set("dist.worker_generation", generation as f64);
             }
             LearnerMsg::Work { generation, batch_seed, indices } => {
-                let t = trainer
+                let actors = policy
                     .as_ref()
-                    .ok_or_else(|| DistError::Protocol("Work before any Params".into()))?;
+                    .ok_or_else(|| DistError::Protocol("Work before any Params".into()))?
+                    .actor_set();
                 for &idx in &indices {
                     let _span = tlm::span("dist_collect_segment");
-                    let rollout = t.collect_rollout_indexed(env, batch_seed, idx as usize);
+                    let rollout = actors.collect_one(env, batch_seed, idx as usize);
                     let metrics = env.metrics();
                     let segment = encode_segment(&rollout, cfg.compression);
                     let bytes = segment.len() as u64;

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `W` is stored `in_dim × out_dim`, so a batch `x` of shape `B × in_dim`
 /// maps to `B × out_dim`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight parameter, `in_dim × out_dim`.
     pub w: Param,
@@ -30,6 +30,16 @@ impl Linear {
             b: Param::new(Matrix::zeros(1, out_dim)),
             cache: None,
         }
+    }
+
+    /// A layer with the given weight (`in_dim × out_dim`) and bias
+    /// (`1 × out_dim`) values and fresh gradient and moment buffers.
+    ///
+    /// # Panics
+    /// Panics if the bias is not one row as wide as the weight.
+    pub fn from_values(w: Matrix, b: Matrix) -> Self {
+        assert_eq!(b.shape(), (1, w.cols()), "bias must be 1 × out_dim");
+        Self { w: Param::new(w), b: Param::new(b), cache: None }
     }
 
     /// Input dimension.

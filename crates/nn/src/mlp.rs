@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 ///     assert!((p - t).abs() < 0.2, "XOR not learned: {p} vs {t}");
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
@@ -68,6 +68,46 @@ impl Mlp {
             layers.push(Linear::new(sizes[w], sizes[w + 1], init, rng));
         }
         Self { layers, hidden_act, output_act, act_cache: Vec::new() }
+    }
+
+    /// Assemble an MLP from existing layers, e.g. weights read off a wire.
+    ///
+    /// # Panics
+    /// Panics if `layers` is empty or a layer's input width is not the
+    /// previous layer's output width.
+    pub fn from_layers(
+        layers: Vec<Linear>,
+        hidden_act: Activation,
+        output_act: Activation,
+    ) -> Self {
+        assert!(!layers.is_empty(), "an MLP needs at least one layer");
+        assert!(
+            layers.windows(2).all(|p| p[0].out_dim() == p[1].in_dim()),
+            "layer widths must chain"
+        );
+        Self { layers, hidden_act, output_act, act_cache: Vec::new() }
+    }
+
+    /// A copy with the same layers, activations and parameter values but
+    /// fresh gradient and optimiser-moment buffers: what a consumer that
+    /// only runs the network keeps.
+    pub fn values_copy(&self) -> Self {
+        let layers = self
+            .layers
+            .iter()
+            .map(|l| Linear::from_values(l.w.value.clone(), l.b.value.clone()))
+            .collect();
+        Self::from_layers(layers, self.hidden_act, self.output_act)
+    }
+
+    /// The layers, input first.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
+    /// The `(hidden, output)` activations.
+    pub fn activations(&self) -> (Activation, Activation) {
+        (self.hidden_act, self.output_act)
     }
 
     /// Convenience constructor matching the paper's defaults: tanh hidden

@@ -8,7 +8,7 @@ use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// A trainable tensor with gradient accumulator and Adam moment estimates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.
     pub value: Matrix,

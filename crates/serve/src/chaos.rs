@@ -30,6 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::retry::SplitMix;
+use crate::wire::setup_stream;
 
 /// Chaos knobs: per-connection fault probabilities. Probabilities are
 /// evaluated in the order black-hole → reset → truncate → corrupt → delay;
@@ -375,7 +376,7 @@ fn handle_connection(
     fate: ConnFate,
     conns: Arc<Mutex<Vec<TcpStream>>>,
 ) {
-    let _ = client.set_nodelay(true);
+    let _ = setup_stream(&client);
     if fate == ConnFate::BlackHole {
         // Swallow everything, answer nothing, until the peer gives up or
         // the proxy shuts the socket down.
@@ -392,7 +393,7 @@ fn handle_connection(
         Ok(s) => s,
         Err(_) => return,
     };
-    let _ = upstream.set_nodelay(true);
+    let _ = setup_stream(&upstream);
     if let Ok(clone) = upstream.try_clone() {
         conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
     }

@@ -15,7 +15,7 @@ use agsc_telemetry::knobs;
 use crate::protocol::{
     read_frame, write_request, ProtocolError, Request, Response, StageTimings, TraceContext,
 };
-use crate::wire::is_timeout;
+use crate::wire::{is_timeout, setup_stream};
 
 /// Client-side deadlines. The default is fully blocking (every field
 /// `None`) — the pre-hardening behavior — so deadlines are strictly
@@ -227,7 +227,7 @@ impl Client {
     }
 
     fn from_stream(stream: TcpStream, config: &ClientConfig) -> Result<Self, ClientError> {
-        stream.set_nodelay(true).map_err(ClientError::Io)?;
+        setup_stream(&stream).map_err(ClientError::Io)?;
         stream.set_read_timeout(config.read_timeout).map_err(ClientError::Io)?;
         stream.set_write_timeout(config.write_timeout).map_err(ClientError::Io)?;
         let reader = BufReader::new(stream.try_clone().map_err(ClientError::Io)?);

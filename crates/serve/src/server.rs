@@ -34,7 +34,7 @@ use crate::admin::{AdminServer, Health};
 use crate::batcher::{run_batcher, BatcherOpts, Pending, PushError, SharedQueue};
 use crate::policy::{PolicyLoader, PolicyStore, ServePolicy};
 use crate::protocol::{write_response, Request, Response, TraceContext, MAX_FRAME_BYTES};
-use crate::wire::{is_timeout, read_frame_phased};
+use crate::wire::{is_timeout, read_frame_phased, setup_stream};
 
 /// Server tuning knobs. [`ServeConfig::from_env`] is the standard way to
 /// build one; every field has a sensible default.
@@ -375,7 +375,7 @@ fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        let _ = stream.set_nodelay(true);
+        let _ = setup_stream(&stream);
         if shared.max_conns > 0 && shared.active.load(Ordering::SeqCst) >= shared.max_conns {
             // Admission control: a typed refusal the client can tell apart
             // from a crash, then an immediate close. Never silently drop.

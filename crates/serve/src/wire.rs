@@ -13,15 +13,27 @@
 //! segments) passes its own ceiling through the `_capped` variants. The cap
 //! exists so a corrupt or hostile length prefix can never drive a giant
 //! allocation; [`Reader::count`] does the same for counts declared inside a
-//! payload.
+//! payload. Every TCP stream either protocol opens or accepts goes through
+//! [`setup_stream`] first.
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Hard ceiling on a serving-frame payload: large enough for any realistic
 /// observation vector, small enough that a corrupt length prefix cannot
 /// trigger a giant allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// The socket setup every TCP stream of both protocols gets, on both ends:
+/// `TCP_NODELAY`. [`write_frame_capped`] writes a frame as two segments,
+/// the length prefix and then the payload. With Nagle's algorithm on, the
+/// payload waits for the peer to ACK the prefix, and the peer delays that
+/// ACK (up to 40 ms on Linux), so every small request/response exchange
+/// would stall for the delayed-ACK timer.
+pub fn setup_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
 
 /// [`write_frame_capped`] under the default serving cap.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {

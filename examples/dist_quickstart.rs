@@ -75,6 +75,13 @@ fn main() {
     assert_eq!(dist_json, ref_json, "distributed training must match the reference bit-for-bit");
     println!("bit-identity verified: {} checkpoint bytes identical", ref_json.len());
 
+    // 5. Where the wall time went: the learner's `dist_params_encode`,
+    //    the workers' `dist_params_decode` and `dist_collect_segment`
+    //    spans, and the `dist.*` counters (empty when telemetry is off).
+    tlm::emit_profile();
+    if let Some(table) = tlm::profile_table() {
+        println!("\nspan profile:\n{table}");
+    }
     tlm::flush();
     println!("done; the same fleet as separate processes:");
     println!("  cargo run --release -p agsc-dist --bin dist_learner   # terminal 1");

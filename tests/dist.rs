@@ -14,7 +14,8 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use agsc::env::VecEnv;
+use agsc::datasets::presets;
+use agsc::env::{AirGroundEnv, EnvConfig, VecEnv};
 use agsc::madrl::IterationStats;
 use agsc_dist::{
     run_worker, setup, Compression, DistError, Learner, LearnerConfig, WorkerConfig, WorkerExit,
@@ -215,5 +216,37 @@ fn workerless_generation_stalls_typed_not_hung() {
         }
         other => panic!("expected GenerationStalled, got {other:?}"),
     }
+    learner.shutdown();
+}
+
+#[test]
+fn fleet_size_mismatch_fails_the_worker_typed_not_panicked() {
+    // obs_dim = 3·(UVs + PoIs), so 5 UVs over 99 PoIs and the quickstart's
+    // 4 UVs over 100 share it: only the fleet size tells the worlds apart.
+    let mut dataset = presets::purdue(SEED);
+    dataset.pois.truncate(99);
+    let cfg = EnvConfig {
+        num_uavs: 3,
+        num_ugvs: 2,
+        horizon: 10,
+        stochastic_fading: false,
+        ..EnvConfig::default()
+    };
+    let five = AirGroundEnv::new(cfg, &dataset, SEED);
+    let four = setup::quickstart_env(SEED);
+    assert_eq!((five.obs_dim(), five.num_uvs(), four.num_uvs()), (four.obs_dim(), 5, 4));
+    let trainer = setup::quickstart_trainer(&five, 1, SEED).unwrap();
+    let cfg = LearnerConfig { generation_timeout: Duration::from_secs(1), ..learner_cfg() };
+    let mut learner = Learner::start("127.0.0.1:0".parse().unwrap(), trainer, cfg).unwrap();
+    let addr = learner.addr();
+    let worker = std::thread::spawn(move || run_worker(&four, &worker_cfg(addr, 0)));
+    let generation = learner.train_generation();
+    match worker.join().expect("the worker must fail typed, not panic") {
+        Err(DistError::ShapeMismatch(msg)) => {
+            assert!(msg.contains("5 agents") && msg.contains("4 UVs"), "{msg}")
+        }
+        other => panic!("expected ShapeMismatch, got {other:?}"),
+    }
+    assert!(matches!(generation, Err(DistError::GenerationStalled { .. })), "{generation:?}");
     learner.shutdown();
 }

@@ -696,7 +696,9 @@ mod serve_wire {
 mod dist_wire {
     use super::*;
     use agsc::env::Metrics;
-    use agsc::madrl::Rollout;
+    use agsc::madrl::{Actor, FleetShape, InferencePolicy, Rollout, ACTION_DIM};
+    use agsc::nn::{Activation, Linear, Mlp};
+    use agsc_dist::actor_frame::ACTOR_FRAME_VERSION;
     use agsc_dist::codec::CODEC_VERSION;
     use agsc_dist::proto::{
         read_learner_msg, read_worker_msg, write_learner_msg, write_worker_msg,
@@ -736,6 +738,41 @@ mod dist_wire {
         r
     }
 
+    /// A random consistent actor-only policy: shared or per-agent actors
+    /// with up to two hidden layers of random widths.
+    fn policy(rng: &mut ChaCha8Rng) -> InferencePolicy {
+        let (shared, num_agents, obs_dim) =
+            (rng.gen_range(0u8..2) == 1, rng.gen_range(1usize..4), rng.gen_range(1usize..6));
+        let actor = |rng: &mut ChaCha8Rng| {
+            let mut sizes = vec![obs_dim];
+            sizes.extend(vec_of(rng, 0..3, |r| r.gen_range(1usize..5)));
+            sizes.push(ACTION_DIM);
+            let layers = sizes
+                .windows(2)
+                .map(|io| {
+                    let w = (0..io[0] * io[1]).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    let b = (0..io[1]).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    Linear::from_values(
+                        Matrix::from_vec(io[0], io[1], w),
+                        Matrix::from_vec(1, io[1], b),
+                    )
+                })
+                .collect();
+            let log_std = (0..ACTION_DIM).map(|_| rng.gen_range(-2.0f32..0.0)).collect();
+            Actor { net: Mlp::from_layers(layers, Activation::Tanh, Activation::Tanh), log_std }
+        };
+        let actors = (0..if shared { 1 } else { num_agents }).map(|_| actor(rng)).collect();
+        let shape = FleetShape { shared, obs_dim, num_agents, neighbor_range_m: rng.gen() };
+        InferencePolicy::new(actors, shape, rng.gen_range(0usize..1000)).unwrap()
+    }
+
+    /// The payload of one learner frame read back, or its typed error.
+    fn read_payload(payload: &[u8]) -> Result<Option<LearnerMsg>, DistError> {
+        let mut wire = Vec::new();
+        agsc_serve::wire::write_frame_capped(&mut wire, payload, CAP).unwrap();
+        read_learner_msg(&mut &wire[..], CAP)
+    }
+
     /// Every message of both directions, framed: (is_worker_msg, frame).
     fn frames(rng: &mut ChaCha8Rng) -> Vec<(bool, Vec<u8>)> {
         let metrics = Metrics {
@@ -756,7 +793,7 @@ mod dist_wire {
         ];
         let learner = [
             LearnerMsg::HelloOk { version: rng.gen() },
-            LearnerMsg::Params { generation: rng.gen(), json: "{\"v\":1}".into() },
+            LearnerMsg::Params { generation: rng.gen(), policy: policy(rng) },
             LearnerMsg::Work {
                 generation: rng.gen(),
                 batch_seed: rng.gen(),
@@ -828,6 +865,68 @@ mod dist_wire {
                     wire.len()
                 );
             }
+        });
+    }
+
+    #[test]
+    fn arbitrary_params_payloads_fail_typed() {
+        check(CASES, |rng| {
+            // The Params opcode, a generation, then anything: a random
+            // body, or the actor-frame version byte followed by one.
+            let mut payload = vec![0xB2];
+            payload.extend(bytes(rng, 9));
+            if rng.gen_range(0u8..2) == 1 {
+                payload.push(ACTOR_FRAME_VERSION);
+            }
+            payload.extend(bytes(rng, 256));
+            if let Err(e) = read_payload(&payload) {
+                assert!(matches!(e, DistError::Protocol(_) | DistError::Params(_)), "{e}");
+            }
+        });
+    }
+
+    #[test]
+    fn hostile_actor_frame_shapes_fail_typed_without_allocating() {
+        check(CASES, |rng| {
+            // A well-formed Params header and fleet shape whose actor
+            // count, layer count and layer widths are drawn from
+            // {0, 1, small, u32::MAX}, then a short random body.
+            let mut payload = vec![0xB2];
+            payload.extend_from_slice(&rng.gen::<u64>().to_le_bytes());
+            payload.extend_from_slice(&[ACTOR_FRAME_VERSION, rng.gen_range(0u8..2)]);
+            for v in [dim(rng), dim(rng)] {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            payload.extend_from_slice(&250.0f64.to_le_bytes());
+            payload.extend_from_slice(&rng.gen::<u64>().to_le_bytes());
+            payload.extend_from_slice(&dim(rng).to_le_bytes());
+            for _ in 0..rng.gen_range(0usize..3) {
+                payload.extend_from_slice(&[0, 0]);
+                let layers = dim(rng);
+                payload.extend_from_slice(&layers.to_le_bytes());
+                for _ in 0..layers.min(4) {
+                    payload.extend_from_slice(&dim(rng).to_le_bytes());
+                }
+                payload.extend(bytes(rng, 48));
+            }
+            let err = read_payload(&payload).map(drop).unwrap_err();
+            assert!(matches!(err, DistError::Protocol(_) | DistError::Params(_)), "{err}");
+        });
+    }
+
+    #[test]
+    fn strict_prefixes_of_valid_actor_frames_fail_typed() {
+        check(CASES, |rng| {
+            let msg = LearnerMsg::Params { generation: rng.gen(), policy: policy(rng) };
+            let mut wire = Vec::new();
+            write_learner_msg(&mut wire, &msg, CAP).unwrap();
+            assert_eq!(read_learner_msg(&mut &wire[..], CAP).unwrap().as_ref(), Some(&msg));
+            // Re-frame a strict prefix of the payload (past the opcode), so
+            // the actor-frame reader itself sees the cut.
+            let payload = &wire[4..];
+            let cut = rng.gen_range(1..payload.len());
+            let err = read_payload(&payload[..cut]).map(drop).unwrap_err();
+            assert!(matches!(err, DistError::Protocol(_)), "cut {cut}: {err}");
         });
     }
 

@@ -7,9 +7,13 @@
 //! new build.
 
 use agsc::env::Metrics;
-use agsc::madrl::Rollout;
-use agsc_dist::proto::{write_learner_msg, write_worker_msg};
-use agsc_dist::{encode_segment, Compression, LearnerMsg, WorkerMsg, PROTOCOL_VERSION};
+use agsc::madrl::{Actor, FleetShape, InferencePolicy, Rollout};
+use agsc::nn::{Activation, Linear, Matrix, Mlp};
+use agsc_dist::proto::{read_learner_msg, write_learner_msg, write_worker_msg};
+use agsc_dist::{
+    encode_segment, setup, Compression, Learner, LearnerConfig, LearnerMsg, WorkerMsg,
+    PROTOCOL_VERSION,
+};
 use agsc_serve::protocol::{write_request, write_response};
 use agsc_serve::{Request, Response, StageTimings, TraceContext};
 
@@ -31,6 +35,25 @@ fn sample_rollout() -> Rollout {
     }
     r.add_collected(&[3.25, 0.0]);
     r
+}
+
+/// A hand-built two-layer shared actor, so the digest pins the actor
+/// frame's layout and not any weight initialisation.
+fn sample_policy() -> InferencePolicy {
+    let hidden = Linear::from_values(
+        Matrix::from_vec(3, 2, vec![0.5, -0.0, f32::MIN_POSITIVE, 1.0, -2.25, f32::NAN]),
+        Matrix::from_vec(1, 2, vec![0.125, -1.0]),
+    );
+    let out = Linear::from_values(
+        Matrix::from_vec(2, 2, vec![1.0, 2.0, -3.0, 4.0]),
+        Matrix::from_vec(1, 2, vec![0.0, f32::INFINITY]),
+    );
+    let actor = Actor {
+        net: Mlp::from_layers(vec![hidden, out], Activation::Tanh, Activation::Linear),
+        log_std: vec![-0.5, 0.25],
+    };
+    let shape = FleetShape { shared: true, obs_dim: 3, num_agents: 2, neighbor_range_m: 250.5 };
+    InferencePolicy::new(vec![actor], shape, 1 << 33).unwrap()
 }
 
 #[test]
@@ -86,9 +109,11 @@ fn dist_worker_messages_keep_their_bytes() {
         fairness: 0.9,
         efficiency: 1.64,
     };
+    // A protocol-1 hello: the encoder is unchanged since version 1, and
+    // these are the bytes a version-2 learner must recognise to refuse.
     let mut wire = Vec::new();
     for msg in [
-        WorkerMsg::Hello { version: PROTOCOL_VERSION, worker_id: 42 },
+        WorkerMsg::Hello { version: 1, worker_id: 42 },
         WorkerMsg::SubmitSegment { generation: 3, env_index: 7, metrics, segment: vec![1, 0, 9] },
     ] {
         write_worker_msg(&mut wire, &msg, CAP).unwrap();
@@ -101,7 +126,7 @@ fn dist_learner_messages_keep_their_bytes() {
     let mut wire = Vec::new();
     for msg in [
         LearnerMsg::HelloOk { version: PROTOCOL_VERSION },
-        LearnerMsg::Params { generation: 1, json: "{\"version\":3}".into() },
+        LearnerMsg::Params { generation: 1, policy: sample_policy() },
         LearnerMsg::Work { generation: 1, batch_seed: 0xDEAD_BEEF, indices: vec![0, 2, 5] },
         LearnerMsg::Ack { generation: 1, env_index: 2 },
         LearnerMsg::Shutdown,
@@ -109,7 +134,26 @@ fn dist_learner_messages_keep_their_bytes() {
     ] {
         write_learner_msg(&mut wire, &msg, CAP).unwrap();
     }
-    assert_eq!((wire.len(), fnv1a(&wire)), (112, 0xeb79_6a8f_b045_9864));
+    assert_eq!((wire.len(), fnv1a(&wire)), (215, 0x6a2c_cf6f_70c1_3688));
+}
+
+#[test]
+fn a_protocol_1_worker_is_refused_at_handshake() {
+    assert_eq!(PROTOCOL_VERSION, 2);
+    let env = setup::quickstart_env(7);
+    let trainer = setup::quickstart_trainer(&env, 1, 7).unwrap();
+    let learner =
+        Learner::start("127.0.0.1:0".parse().unwrap(), trainer, LearnerConfig::default()).unwrap();
+    let mut old = std::net::TcpStream::connect(learner.addr()).unwrap();
+    write_worker_msg(&mut old, &WorkerMsg::Hello { version: 1, worker_id: 9 }, CAP).unwrap();
+    match read_learner_msg(&mut old, CAP).unwrap() {
+        Some(LearnerMsg::Error { msg }) => {
+            assert!(msg.contains("protocol version 1"), "refusal must name the version: {msg}")
+        }
+        other => panic!("a v1 worker must get a typed refusal, got {other:?}"),
+    }
+    assert_eq!(read_learner_msg(&mut old, CAP).unwrap(), None, "the learner hangs up");
+    learner.shutdown();
 }
 
 #[test]
