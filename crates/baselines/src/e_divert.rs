@@ -506,7 +506,7 @@ impl EDivert {
         let q = agent.critic.forward(&q_in);
         let target_m = Matrix::from_vec(b, 1, targets.clone());
         let (_, grad) = agsc_nn::loss::mse(&q, &target_m);
-        agent.critic.backward(&grad);
+        agent.critic.backward_params(&grad);
         agent.critic.clip_grad_norm(1.0);
         agent.critic_opt.step(&mut agent.critic.params_mut());
 

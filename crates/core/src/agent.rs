@@ -122,14 +122,23 @@ impl PpoAgent {
         self.actor.forward_inference(&o).as_slice().to_vec()
     }
 
-    /// Value estimates for a batch of critic inputs.
-    pub fn values(&self, input: &Matrix, which: CriticKind) -> Vec<f32> {
+    /// The chosen critic and the optimiser the three critics share.
+    fn critic_mut(&mut self, which: CriticKind) -> (&mut Mlp, &mut Adam) {
         let net = match which {
-            CriticKind::Own => &self.critic,
-            CriticKind::Heterogeneous => &self.critic_he,
-            CriticKind::Homogeneous => &self.critic_ho,
+            CriticKind::Own => &mut self.critic,
+            CriticKind::Heterogeneous => &mut self.critic_he,
+            CriticKind::Homogeneous => &mut self.critic_ho,
         };
-        net.forward_inference(input).as_slice().to_vec()
+        (net, &mut self.critic_opt)
+    }
+
+    /// Value estimates of the chosen critic for a batch of inputs.
+    ///
+    /// This is the training forward (bit-equal to inference), so the
+    /// returned [`CriticForward`] can later step that critic with
+    /// [`critic_step`](Self::critic_step) without running it again.
+    pub fn critic_forward(&mut self, input: &Matrix, which: CriticKind) -> CriticForward {
+        CriticForward { which, pred: self.critic_mut(which).0.forward(input) }
     }
 
     /// One clipped-PPO ascent step on the surrogate objective (Eqn 25/28).
@@ -182,7 +191,7 @@ impl PpoAgent {
         // Ascent on the objective ⇒ descent on its negation.
         let neg: Vec<f32> = coeff.iter().map(|c| -c).collect();
         let (d_mean, d_log_std) = dist.log_prob_grad(actions, &neg);
-        self.actor.backward(&d_mean);
+        self.actor.backward_params(&d_mean);
         for (g, d) in self.log_std.grad.as_mut_slice().iter_mut().zip(d_log_std.iter()) {
             // Entropy bonus: dH/dlogσ = 1 per dimension (ascent ⇒ −coef).
             *g += d - entropy_coef;
@@ -205,53 +214,39 @@ impl PpoAgent {
         }
     }
 
-    /// One MSE regression step of the chosen critic towards `targets`
-    /// (Eqn 26); returns the loss and pre-clip gradient norm.
-    pub fn critic_update(
+    /// One MSE regression step (Eqn 26) of the critic `fwd` came from,
+    /// towards `targets`, backpropagated from that forward's cached
+    /// activations; returns the loss and pre-clip gradient norm.
+    ///
+    /// Step each forward once, before that critic runs another forward.
+    pub fn critic_step(
         &mut self,
-        input: &Matrix,
+        fwd: &CriticForward,
         targets: &[f32],
-        which: CriticKind,
         max_grad_norm: f32,
     ) -> CriticStats {
-        assert_eq!(input.rows(), targets.len(), "target count mismatch");
+        assert_eq!(fwd.pred.rows(), targets.len(), "target count mismatch");
         if targets.is_empty() {
             return CriticStats::default();
         }
-        let net = match which {
-            CriticKind::Own => &mut self.critic,
-            CriticKind::Heterogeneous => &mut self.critic_he,
-            CriticKind::Homogeneous => &mut self.critic_ho,
-        };
+        let (net, opt) = self.critic_mut(fwd.which);
         net.zero_grad();
-        let pred = net.forward(input);
         let target = Matrix::from_vec(targets.len(), 1, targets.to_vec());
-        let (loss, grad) = agsc_nn::loss::mse(&pred, &target);
-        net.backward(&grad);
+        let (loss, grad) = agsc_nn::loss::mse(&fwd.pred, &target);
+        net.backward_params(&grad);
         let grad_norm = net.clip_grad_norm(max_grad_norm);
-        self.critic_opt.step(&mut net.params_mut());
+        opt.step(&mut net.params_mut());
         CriticStats { loss, grad_norm }
     }
 
-    /// Flat gradient of `Σ_t coeff[t] · log π(a_t | o_t)` with respect to
-    /// all policy parameters (actor weights then log-σ). The meta-gradient's
-    /// second term (Eqn 32) is this with `coeff[t] = ∂A^k_CO/∂LCF · α / T`.
-    pub fn weighted_logprob_grad(
-        &mut self,
-        obs: &Matrix,
-        actions: &Matrix,
-        coeff: &[f32],
-    ) -> Vec<f32> {
-        self.actor.zero_grad();
-        self.log_std.zero_grad();
-        let mean = self.actor.forward(obs);
-        let dist = DiagGaussian::new(&mean, self.log_std.value.as_slice());
-        let (d_mean, d_log_std) = dist.log_prob_grad(actions, coeff);
-        self.actor.backward(&d_mean);
-        let mut flat = self.actor.flat_grads();
-        flat.extend_from_slice(&d_log_std);
-        self.actor.zero_grad();
-        flat
+    /// A frozen copy of the policy — actor weights and log-σ, without the
+    /// critics or any optimiser state: the behaviour policy `π_old` the
+    /// LCF meta-gradient differentiates (Eqn 32).
+    pub fn behaviour_policy(&self) -> BehaviourPolicy {
+        BehaviourPolicy {
+            actor: self.actor.values_copy(),
+            log_std: self.log_std.value.as_slice().to_vec(),
+        }
     }
 
     /// Flat gradient of the clipped surrogate `J` (with the given advantages)
@@ -282,10 +277,69 @@ impl PpoAgent {
             }
         }
         let (d_mean, d_log_std) = dist.log_prob_grad(actions, &coeff);
-        self.actor.backward(&d_mean);
+        self.actor.backward_params(&d_mean);
         let mut flat = self.actor.flat_grads();
         flat.extend_from_slice(&d_log_std);
         self.actor.zero_grad();
+        flat
+    }
+}
+
+/// One critic's training forward: its value estimates, waiting for the
+/// regression step ([`PpoAgent::critic_step`]) that reuses its cached
+/// activations. It names the critic it came from, so the step cannot land
+/// on another one.
+#[derive(Debug)]
+pub struct CriticForward {
+    which: CriticKind,
+    pred: Matrix,
+}
+
+impl CriticForward {
+    /// The critic's raw outputs (before any value-norm denormalisation),
+    /// one per input row.
+    pub fn values(&self) -> &[f32] {
+        self.pred.as_slice()
+    }
+}
+
+/// A snapshot of one agent's policy, taken by [`PpoAgent::behaviour_policy`].
+#[derive(Debug)]
+pub struct BehaviourPolicy {
+    actor: Mlp,
+    log_std: Vec<f32>,
+}
+
+impl BehaviourPolicy {
+    /// Run the actor on `obs` once. The returned [`LogProbGrads`]
+    /// backpropagates any number of coefficient vectors from that forward.
+    pub fn log_prob_grads<'a>(&'a mut self, obs: &Matrix, actions: &'a Matrix) -> LogProbGrads<'a> {
+        let mean = self.actor.forward(obs);
+        LogProbGrads { actor: &mut self.actor, log_std: &self.log_std, mean, actions }
+    }
+}
+
+/// A behaviour policy's forward on one batch of `(obs, action)` pairs.
+#[derive(Debug)]
+pub struct LogProbGrads<'a> {
+    actor: &'a mut Mlp,
+    log_std: &'a [f32],
+    mean: Matrix,
+    actions: &'a Matrix,
+}
+
+impl LogProbGrads<'_> {
+    /// Flat gradient of `Σ_t coeff[t] · log π(a_t | o_t)` with respect to
+    /// all policy parameters (actor weights then log-σ). The
+    /// meta-gradient's second term (Eqn 32) is this with
+    /// `coeff[t] = ∂A^k_CO/∂LCF · α / T`.
+    pub fn grad(&mut self, coeff: &[f32]) -> Vec<f32> {
+        self.actor.zero_grad();
+        let dist = DiagGaussian::new(&self.mean, self.log_std);
+        let (d_mean, d_log_std) = dist.log_prob_grad(self.actions, coeff);
+        self.actor.backward_params(&d_mean);
+        let mut flat = self.actor.flat_grads();
+        flat.extend_from_slice(&d_log_std);
         flat
     }
 }
@@ -363,16 +417,31 @@ mod tests {
         assert!(after > before, "good action log-prob should rise: {before} → {after}");
     }
 
+    /// One regression step of `which` towards `targets`.
+    fn step_towards(
+        a: &mut PpoAgent,
+        input: &Matrix,
+        targets: &[f32],
+        which: CriticKind,
+    ) -> CriticStats {
+        let fwd = a.critic_forward(input, which);
+        a.critic_step(&fwd, targets, 10.0)
+    }
+
+    fn values(a: &mut PpoAgent, input: &Matrix, which: CriticKind) -> Vec<f32> {
+        a.critic_forward(input, which).values().to_vec()
+    }
+
     #[test]
-    fn critic_update_reduces_loss() {
+    fn critic_step_reduces_loss() {
         let mut a = agent();
         let input = Matrix::from_vec(3, 4, vec![0.1; 12]);
         let targets = [1.0f32, 1.0, 1.0];
-        let first = a.critic_update(&input, &targets, CriticKind::Own, 10.0);
+        let first = step_towards(&mut a, &input, &targets, CriticKind::Own);
         assert!(first.grad_norm > 0.0, "a non-trivial regression step must have gradient");
         let mut last = first;
         for _ in 0..300 {
-            last = a.critic_update(&input, &targets, CriticKind::Own, 10.0);
+            last = step_towards(&mut a, &input, &targets, CriticKind::Own);
         }
         assert!(
             last.loss < first.loss * 0.1,
@@ -380,7 +449,7 @@ mod tests {
             first.loss,
             last.loss
         );
-        let v = a.values(&input, CriticKind::Own);
+        let v = values(&mut a, &input, CriticKind::Own);
         assert!((v[0] - 1.0).abs() < 0.2);
     }
 
@@ -389,14 +458,30 @@ mod tests {
         let mut a = agent();
         let input = Matrix::from_vec(2, 4, vec![0.3; 8]);
         for _ in 0..200 {
-            a.critic_update(&input, &[2.0, 2.0], CriticKind::Heterogeneous, 10.0);
+            step_towards(&mut a, &input, &[2.0, 2.0], CriticKind::Heterogeneous);
         }
-        let own = a.values(&input, CriticKind::Own);
-        let he = a.values(&input, CriticKind::Heterogeneous);
-        let ho = a.values(&input, CriticKind::Homogeneous);
+        let own = values(&mut a, &input, CriticKind::Own);
+        let he = values(&mut a, &input, CriticKind::Heterogeneous);
+        let ho = values(&mut a, &input, CriticKind::Homogeneous);
         assert!((he[0] - 2.0).abs() < 0.3, "HE critic should have learned");
         assert!((own[0] - 2.0).abs() > 0.5, "own critic must be untouched");
         assert!((ho[0] - 2.0).abs() > 0.5, "HO critic must be untouched");
+    }
+
+    #[test]
+    fn a_step_lands_on_the_critic_its_forward_came_from() {
+        // Forward all three critics first, as the trainer's phase A does,
+        // then step only the homogeneous one: the other two keep their
+        // values, bit for bit.
+        let mut a = agent();
+        let input = Matrix::from_vec(2, 4, vec![0.3; 8]);
+        let own = a.critic_forward(&input, CriticKind::Own);
+        let he = a.critic_forward(&input, CriticKind::Heterogeneous);
+        let ho = a.critic_forward(&input, CriticKind::Homogeneous);
+        a.critic_step(&ho, &[2.0, 2.0], 10.0);
+        assert_eq!(values(&mut a, &input, CriticKind::Own), own.values());
+        assert_eq!(values(&mut a, &input, CriticKind::Heterogeneous), he.values());
+        assert_ne!(values(&mut a, &input, CriticKind::Homogeneous), ho.values());
     }
 
     #[test]
@@ -425,16 +510,21 @@ mod tests {
     }
 
     #[test]
-    fn weighted_logprob_grad_has_full_length_and_responds_to_coeff() {
-        let mut a = agent();
+    fn log_prob_grads_have_full_length_and_respond_to_coeff() {
+        let a = agent();
         let obs = Matrix::from_vec(2, 4, vec![0.2; 8]);
         let actions = Matrix::from_vec(2, 2, vec![0.1, 0.1, -0.1, -0.1]);
-        let g0 = a.weighted_logprob_grad(&obs, &actions, &[0.0, 0.0]);
+        let mut old = a.behaviour_policy();
+        let mut grads = old.log_prob_grads(&obs, &actions);
+        let g0 = grads.grad(&[0.0, 0.0]);
         assert!(g0.iter().all(|&v| v == 0.0), "zero coeff ⇒ zero grad");
-        let g1 = a.weighted_logprob_grad(&obs, &actions, &[1.0, 0.0]);
+        let g1 = grads.grad(&[1.0, 0.0]);
         assert!(g1.iter().any(|&v| v != 0.0));
         // actor params + 2 log_std entries
-        assert_eq!(g1.len(), g0.len());
+        assert_eq!(g1.len(), a.actor().param_count() + 2);
+        // Backward passes from one forward do not accumulate into each other.
+        assert_eq!(grads.grad(&[0.0, 0.0]), g0);
+        assert_eq!(grads.grad(&[1.0, 0.0]), g1);
     }
 
     #[test]

@@ -50,6 +50,12 @@ impl EoiClassifier {
         (0..probs.rows()).map(|r| probs[(r, k)]).collect()
     }
 
+    /// The network, for tests that poison it.
+    #[cfg(test)]
+    pub(crate) fn net_mut(&mut self) -> &mut Mlp {
+        &mut self.net
+    }
+
     /// Predicted identity distribution for a batch of observations.
     pub fn predict(&self, obs: &Matrix) -> Matrix {
         softmax_rows(&self.net.forward_inference(obs))
@@ -68,33 +74,33 @@ impl EoiClassifier {
         // L = CE + ε·H  ⇒  dL/dlogits = dCE − ε·d(−H).
         let mut grad = ce_grad;
         grad.add_scaled(&neg_h_grad, -self.epsilon);
-        self.net.backward(&grad);
+        self.net.backward_params(&grad);
         self.net.clip_grad_norm(5.0);
         self.opt.step(&mut self.net.params_mut());
         ce + self.epsilon * h
     }
 
-    /// Classification accuracy over a labelled batch.
-    pub fn accuracy(&self, obs: &Matrix, labels: &[usize]) -> f32 {
-        if obs.rows() == 0 {
+    /// Classification accuracy of predicted identity distributions
+    /// ([`predict`](Self::predict)'s rows) against their labels. A row
+    /// holding a NaN counts as a miss.
+    pub fn accuracy(probs: &Matrix, labels: &[usize]) -> f32 {
+        assert_eq!(probs.rows(), labels.len(), "label count mismatch");
+        if labels.is_empty() {
             return 0.0;
         }
-        let probs = self.predict(obs);
-        let mut correct = 0usize;
-        for (r, &label) in labels.iter().enumerate() {
-            let row = probs.row(r);
-            let argmax = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if argmax == label {
-                correct += 1;
-            }
-        }
-        correct as f32 / labels.len() as f32
+        let correct =
+            labels.iter().enumerate().filter(|&(r, &label)| argmax(probs.row(r)) == Some(label));
+        correct.count() as f32 / labels.len() as f32
     }
+}
+
+/// Index of the row's largest entry (the last one on ties), or `None` if
+/// the row is empty or holds a NaN.
+fn argmax(row: &[f32]) -> Option<usize> {
+    if row.iter().any(|p| p.is_nan()) {
+        return None;
+    }
+    row.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -131,12 +137,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut c = EoiClassifier::new(2, &[16], 2, 5e-3, 0.05, &mut rng);
         let (obs, labels) = labelled_batch();
-        let before = c.accuracy(&obs, &labels);
+        let before = EoiClassifier::accuracy(&c.predict(&obs), &labels);
         let mut last = f32::INFINITY;
         for _ in 0..200 {
             last = c.train_batch(&obs, &labels);
         }
-        let after = c.accuracy(&obs, &labels);
+        let after = EoiClassifier::accuracy(&c.predict(&obs), &labels);
         assert!(after > 0.95, "accuracy after training: {after} (before {before})");
         assert!(last < 0.7, "loss should fall, got {last}");
     }
@@ -164,7 +170,16 @@ mod tests {
         let mut c = EoiClassifier::new(2, &[8], 2, 1e-3, 0.1, &mut rng);
         let empty = Matrix::zeros(0, 2);
         assert_eq!(c.train_batch(&empty, &[]), 0.0);
-        assert_eq!(c.accuracy(&empty, &[]), 0.0);
+        assert_eq!(EoiClassifier::accuracy(&c.predict(&empty), &[]), 0.0);
+    }
+
+    #[test]
+    fn nan_rows_count_as_misses() {
+        let probs = Matrix::from_vec(3, 2, vec![0.9, 0.1, f32::NAN, 0.2, 0.3, f32::NAN]);
+        assert_eq!(EoiClassifier::accuracy(&probs, &[0, 0, 1]), 1.0 / 3.0);
+        assert_eq!(EoiClassifier::accuracy(&probs, &[0, 1, 1]), 1.0 / 3.0);
+        let ties = Matrix::from_vec(1, 3, vec![0.4, 0.4, 0.2]);
+        assert_eq!(EoiClassifier::accuracy(&ties, &[1]), 1.0, "ties go to the last index");
     }
 
     #[test]

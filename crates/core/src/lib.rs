@@ -32,7 +32,9 @@ pub mod trainer;
 pub use agsc_nn as nn;
 
 pub use actors::{Actor, ActorRef, ActorSet, FleetShape, InferencePolicy, ACTION_DIM};
-pub use agent::{CriticKind, CriticStats, PpoAgent, PpoStats};
+pub use agent::{
+    BehaviourPolicy, CriticForward, CriticKind, CriticStats, LogProbGrads, PpoAgent, PpoStats,
+};
 pub use checkpoint::{remove_stale_tmp, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 pub use config::{Ablation, IntrinsicSchedule, TrainConfig};
 pub use copo::Lcf;

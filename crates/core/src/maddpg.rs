@@ -339,7 +339,7 @@ impl Maddpg {
             let q = agent.critic.forward(&q_in);
             let t = Matrix::from_vec(b, 1, targets);
             let (_, grad) = agsc_nn::loss::mse(&q, &t);
-            agent.critic.backward(&grad);
+            agent.critic.backward_params(&grad);
             agent.critic.clip_grad_norm(1.0);
             agent.critic_opt.step(&mut agent.critic.params_mut());
 
@@ -365,7 +365,7 @@ impl Maddpg {
                 d_act[(r, 0)] = dq_din[(r, state_cols + 2 * a)];
                 d_act[(r, 1)] = dq_din[(r, state_cols + 2 * a + 1)];
             }
-            agent.actor.backward(&d_act);
+            agent.actor.backward_params(&d_act);
             agent.actor.clip_grad_norm(1.0);
             agent.actor_opt.step(&mut agent.actor.params_mut());
 

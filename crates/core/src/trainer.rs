@@ -6,7 +6,7 @@
 //! then run `M2` meta-gradient epochs on the LCFs (lines 21-23, Eqns 30-32).
 
 use crate::actors::{ActorRef, ActorSet, FleetShape};
-use crate::agent::{CriticKind, CriticStats, PpoAgent, PpoStats};
+use crate::agent::{BehaviourPolicy, CriticForward, CriticKind, CriticStats, PpoAgent, PpoStats};
 use crate::config::TrainConfig;
 use crate::copo::{neighbor_range_m, Lcf};
 use crate::eoi::EoiClassifier;
@@ -297,23 +297,28 @@ impl HiMadrlTrainer {
     /// Compound rewards (Eqn 19): extrinsic plus weighted identity
     /// probability; also returns the mean intrinsic term actually paid and
     /// each agent's share of the total intrinsic reward.
+    ///
+    /// `identity_probs` is the classifier's prediction on every agent's
+    /// observations stacked in agent order (`T` rows per agent), so agent
+    /// `k`'s intrinsic reward at step `t` is entry `(k·T + t, k)`.
     fn compound_rewards(
         &self,
         rollout: &Rollout,
-        obs_mats: &[Matrix],
+        identity_probs: Option<&Matrix>,
     ) -> (Vec<Vec<f32>>, f32, Vec<f32>) {
         let w = self.intrinsic_weight();
+        let t_len = rollout.len();
         let mut per_agent = vec![0.0f32; self.num_agents];
         let mut count = 0usize;
         let rewards: Vec<Vec<f32>> = (0..self.num_agents)
             .map(|k| {
                 let ext = &rollout.rewards_ext[k];
-                match (&self.classifier, w > 0.0) {
-                    (Some(c), true) => {
-                        let p = c.intrinsic(&obs_mats[k], k);
+                match (identity_probs, w > 0.0) {
+                    (Some(probs), true) => {
+                        let p = (0..t_len).map(|t| probs[(k * t_len + t, k)]);
                         ext.iter()
-                            .zip(p.iter())
-                            .map(|(&e, &pk)| {
+                            .zip(p)
+                            .map(|(&e, pk)| {
                                 per_agent[k] += w * pk;
                                 count += 1;
                                 e + w * pk
@@ -436,7 +441,7 @@ impl HiMadrlTrainer {
         let mut update_skipped = false;
 
         // --- Line 12: classifier update -------------------------------------
-        let (classifier_loss, classifier_accuracy) = match self.classifier {
+        let (classifier_loss, classifier_accuracy, identity_probs) = match self.classifier {
             Some(ref mut c) => {
                 let _s = tlm::span("eoi_update");
                 // Uniform per-agent sampling: concatenate everything (same
@@ -444,13 +449,18 @@ impl HiMadrlTrainer {
                 let all_obs = Matrix::vstack(&obs_mats.iter().collect::<Vec<_>>());
                 let labels: Vec<usize> =
                     (0..self.num_agents).flat_map(|k| std::iter::repeat_n(k, t_len)).collect();
-                (c.train_batch(&all_obs, &labels), c.accuracy(&all_obs, &labels))
+                let loss = c.train_batch(&all_obs, &labels);
+                // One forward of the updated classifier serves both the
+                // accuracy and the intrinsic rewards: rows are independent.
+                let probs = c.predict(&all_obs);
+                (loss, EoiClassifier::accuracy(&probs, &labels), Some(probs))
             }
-            None => (0.0, 0.0),
+            None => (0.0, 0.0, None),
         };
 
         // --- Line 16: compound rewards (Eqn 19) ------------------------------
-        let (rewards, mean_intrinsic, intrinsic_share) = self.compound_rewards(&rollout, &obs_mats);
+        let (rewards, mean_intrinsic, intrinsic_share) =
+            self.compound_rewards(&rollout, identity_probs.as_ref());
 
         let collection_share = rollout.collection_shares();
         let mut final_ppo = PpoStats::default();
@@ -468,9 +478,9 @@ impl HiMadrlTrainer {
             }
 
             // --- Line 13: snapshot behaviour policies for the meta step -----
-            let mut old_agents: Vec<PpoAgent> =
+            let mut old_policies: Vec<BehaviourPolicy> =
                 if self.cfg.ablation.use_copo && self.cfg.lcf_epochs > 0 {
-                    self.agents.clone()
+                    self.agents.iter().map(PpoAgent::behaviour_policy).collect()
                 } else {
                     Vec::new()
                 };
@@ -535,10 +545,11 @@ impl HiMadrlTrainer {
                     let mut steps = Vec::with_capacity(wave.len());
                     for (k, pass) in wave.clone().zip(passes) {
                         // Individual advantage (Eqn 24 generalised by GAE).
+                        let own_values = pass.own.values();
                         let v: Vec<f32> = if cfg.value_norm {
-                            pass.own_values.iter().map(|&x| self.stat_own.denormalize(x)).collect()
+                            own_values.iter().map(|&x| self.stat_own.denormalize(x)).collect()
                         } else {
-                            pass.own_values
+                            own_values.to_vec()
                         };
                         let (adv, ret) = inputs.gae(&rewards[k], &v);
                         let [adv_he, adv_ho] = pass.neighbor_adv;
@@ -587,8 +598,8 @@ impl HiMadrlTrainer {
                         last_adv[k] = [adv, adv_he, adv_ho];
                         steps.push(PolicyStep {
                             a_co,
-                            own_targets,
-                            neighbor_returns: pass.neighbor_returns,
+                            own: (pass.own, own_targets),
+                            neighbors: pass.neighbors,
                         });
                     }
 
@@ -640,11 +651,13 @@ impl HiMadrlTrainer {
                 let _s = tlm::span("v_all_update");
                 let r_all: Vec<f32> =
                     (0..t_len).map(|t| (0..self.num_agents).map(|k| rewards[k][t]).sum()).collect();
-                let v_all_raw = self.v_all.forward_inference(&state_mat).as_slice().to_vec();
+                // The training forward gives the values GAE needs and the
+                // activations the regression step below backpropagates.
+                let pred = self.v_all.forward(&state_mat);
                 let v_all_vals: Vec<f32> = if self.cfg.value_norm {
-                    v_all_raw.iter().map(|&x| self.stat_all.denormalize(x)).collect()
+                    pred.as_slice().iter().map(|&x| self.stat_all.denormalize(x)).collect()
                 } else {
-                    v_all_raw
+                    pred.as_slice().to_vec()
                 };
                 let (adv_all, ret_all) = inputs.gae(&r_all, &v_all_vals);
                 if self.cfg.nan_guard && !(all_finite(&adv_all) && all_finite(&ret_all)) {
@@ -659,17 +672,16 @@ impl HiMadrlTrainer {
                     ret_all
                 };
                 self.v_all.zero_grad();
-                let pred = self.v_all.forward(&state_mat);
                 let target = Matrix::from_vec(targets.len(), 1, targets);
                 let (_, grad) = agsc_nn::loss::mse(&pred, &target);
-                self.v_all.backward(&grad);
+                self.v_all.backward_params(&grad);
                 self.v_all.clip_grad_norm(self.cfg.max_grad_norm);
                 self.v_all_opt.step(&mut self.v_all.params_mut());
                 adv_all
             };
 
             // --- Lines 21-23: M2 LCF meta epochs (Eqns 30-32) ----------------
-            if cfg.ablation.use_copo && !old_agents.is_empty() {
+            if cfg.ablation.use_copo && !old_policies.is_empty() {
                 let _s = tlm::span("lcf_meta_gradient");
                 normalize_advantages(&mut adv_all);
                 // No agent's meta step reads another agent's LCF, so each
@@ -677,7 +689,7 @@ impl HiMadrlTrainer {
                 for wave in &waves {
                     let mut jobs: Vec<_> = self.agents[params_of(wave)]
                         .iter_mut()
-                        .zip(&mut old_agents[params_of(wave)])
+                        .zip(&mut old_policies[params_of(wave)])
                         .zip(&mut self.lcfs[wave.clone()])
                         .collect();
                     scoped_map(workers, &mut jobs, |j, ((agent, old), lcf)| {
@@ -938,20 +950,22 @@ struct AgentInputs<'a> {
 
 /// One agent's critic pass (phase A of a policy epoch).
 struct CriticPass {
-    /// Own-critic values, before value-norm denormalisation.
-    own_values: Vec<f32>,
+    /// The own critic's forward; its values are still value-normalised.
+    own: CriticForward,
     /// `[A_HE, A_HO]`; zeros without h-CoPO.
     neighbor_adv: [Vec<f32>; 2],
-    /// `[R_HE, R_HO]`, the neighbourhood critics' targets.
-    neighbor_returns: [Vec<f32>; 2],
+    /// The neighbourhood critics' forwards with their targets
+    /// `[R_HE, R_HO]`; `None` without h-CoPO.
+    neighbors: Option<[(CriticForward, Vec<f32>); 2]>,
 }
 
 /// What phase B hands one agent's policy and critic steps (phase C).
 struct PolicyStep {
     /// Normalised cooperation-aware advantage (Eqn 27).
     a_co: Vec<f32>,
-    own_targets: Vec<f32>,
-    neighbor_returns: [Vec<f32>; 2],
+    /// The own critic's forward from phase A and its targets.
+    own: (CriticForward, Vec<f32>),
+    neighbors: Option<[(CriticForward, Vec<f32>); 2]>,
 }
 
 impl AgentInputs<'_> {
@@ -967,28 +981,34 @@ impl AgentInputs<'_> {
         gae_segmented(rewards, values, self.segments, 0.0, self.cfg.gamma, self.cfg.gae_lambda)
     }
 
-    /// Phase A for agent `k`: own-critic values and the neighbourhood
-    /// advantages and returns.
-    fn critic_pass(&self, agent: &PpoAgent, k: usize) -> CriticPass {
-        let own_values = agent.values(self.critic_input(k), CriticKind::Own);
-        let (neighbor_adv, neighbor_returns) = match self.neighbor_rewards.get(k) {
+    /// Phase A for agent `k`: the critics' forwards, whose values give the
+    /// neighbourhood advantages and returns here and whose cached
+    /// activations phase C steps from (nothing touches a critic between the
+    /// two phases).
+    fn critic_pass(&self, agent: &mut PpoAgent, k: usize) -> CriticPass {
+        let own = agent.critic_forward(self.critic_input(k), CriticKind::Own);
+        match self.neighbor_rewards.get(k) {
             Some([r_he, r_ho]) => {
-                let (a_he, ret_he) =
-                    self.gae(r_he, &agent.values(&self.obs[k], CriticKind::Heterogeneous));
-                let (a_ho, ret_ho) =
-                    self.gae(r_ho, &agent.values(&self.obs[k], CriticKind::Homogeneous));
-                ([a_he, a_ho], [ret_he, ret_ho])
+                let he = agent.critic_forward(&self.obs[k], CriticKind::Heterogeneous);
+                let ho = agent.critic_forward(&self.obs[k], CriticKind::Homogeneous);
+                let (a_he, ret_he) = self.gae(r_he, he.values());
+                let (a_ho, ret_ho) = self.gae(r_ho, ho.values());
+                CriticPass {
+                    own,
+                    neighbor_adv: [a_he, a_ho],
+                    neighbors: Some([(he, ret_he), (ho, ret_ho)]),
+                }
             }
             None => {
-                let zeros = vec![0.0; own_values.len()];
-                ([zeros.clone(), zeros.clone()], [zeros.clone(), zeros])
+                let zeros = vec![0.0; own.values().len()];
+                CriticPass { own, neighbor_adv: [zeros.clone(), zeros], neighbors: None }
             }
-        };
-        CriticPass { own_values, neighbor_adv, neighbor_returns }
+        }
     }
 
     /// Phase C for agent `k`: the policy step (Eqn 28) and the critic
-    /// regressions (Eqn 26); returns the policy and own-critic stats.
+    /// regressions (Eqn 26) from phase A's forwards; returns the policy and
+    /// own-critic stats.
     fn policy_step(
         &self,
         agent: &mut PpoAgent,
@@ -998,16 +1018,10 @@ impl AgentInputs<'_> {
         let cfg = self.cfg;
         let ppo =
             agent.ppo_update(&self.obs[k], &self.actions[k], &self.log_probs[k], &step.a_co, cfg);
-        let own = agent.critic_update(
-            self.critic_input(k),
-            &step.own_targets,
-            CriticKind::Own,
-            cfg.max_grad_norm,
-        );
-        if cfg.ablation.use_copo {
-            let [ret_he, ret_ho] = &step.neighbor_returns;
-            agent.critic_update(&self.obs[k], ret_he, CriticKind::Heterogeneous, cfg.max_grad_norm);
-            agent.critic_update(&self.obs[k], ret_ho, CriticKind::Homogeneous, cfg.max_grad_norm);
+        let (own_fwd, own_targets) = &step.own;
+        let own = agent.critic_step(own_fwd, own_targets, cfg.max_grad_norm);
+        for (fwd, targets) in step.neighbors.iter().flatten() {
+            agent.critic_step(fwd, targets, cfg.max_grad_norm);
         }
         (ppo, own)
     }
@@ -1018,7 +1032,7 @@ impl AgentInputs<'_> {
     fn lcf_meta_step(
         &self,
         agent: &mut PpoAgent,
-        old: &mut PpoAgent,
+        old: &mut BehaviourPolicy,
         lcf: &mut Lcf,
         k: usize,
         adv_all: &[f32],
@@ -1033,15 +1047,18 @@ impl AgentInputs<'_> {
             agent.ppo_objective_grad(obs, actions, &self.log_probs[k], adv_all, cfg.clip_eps);
         let dot = |b: &[f32]| -> f32 { term1.iter().zip(b).map(|(x, y)| x * y).sum() };
         let scale = cfg.meta_alpha / adv_all.len().max(1) as f32;
+        // Term 2's behaviour policy is frozen too: one forward serves every
+        // coefficient vector of every meta epoch.
+        let mut old_grads = old.log_prob_grads(obs, actions);
         for _ in 0..cfg.lcf_epochs {
             // Term 2 (Eqn 32): α·E[∇_{θ_old} log π · ∂A_CO/∂LCF].
             let coeff = |d: fn(&Lcf, f32, f32, f32) -> f32| -> Vec<f32> {
                 (0..adv.len()).map(|t| scale * d(lcf, adv[t], adv_he[t], adv_ho[t])).collect()
             };
-            let g_phi = dot(&old.weighted_logprob_grad(obs, actions, &coeff(Lcf::d_phi)));
+            let g_phi = dot(&old_grads.grad(&coeff(Lcf::d_phi)));
             // χ only matters under the heterogeneous split.
             let g_chi = if cfg.ablation.heterogeneous {
-                dot(&old.weighted_logprob_grad(obs, actions, &coeff(Lcf::d_chi)))
+                dot(&old_grads.grad(&coeff(Lcf::d_chi)))
             } else {
                 0.0
             };
@@ -1082,27 +1099,30 @@ fn neighbor_rewards(
     [merged.clone(), merged]
 }
 
-/// Baseline for the iteration's GEMM FLOP delta: folds the caller's stale
-/// thread tally into the process-wide total first, so the delta measured by
-/// [`publish_iteration_flops`] covers exactly this iteration. Returns 0
-/// untouched when telemetry is off.
-fn iteration_flops_start(started: &Option<std::time::Instant>) -> u64 {
+/// Baselines `(FLOPs, GEMM ns)` for the iteration's GEMM deltas: folds the
+/// caller's stale thread tallies into the process-wide totals first, so the
+/// deltas measured by [`publish_iteration_flops`] cover exactly this
+/// iteration. Returns zeros untouched when telemetry is off.
+fn iteration_flops_start(started: &Option<std::time::Instant>) -> (u64, u64) {
     if started.is_none() {
-        return 0;
+        return (0, 0);
     }
     agsc_nn::flops::flush_thread();
-    agsc_nn::flops::total()
+    (agsc_nn::flops::total(), agsc_nn::flops::total_ns())
 }
 
 /// Publish the iteration's GEMM work as the cumulative `nn.flops` counter
-/// (whose windowed mirror is a rolling FLOP/s rate) and the per-iteration
-/// `nn.gflops` throughput gauge.
-fn publish_iteration_flops(flops0: u64, secs: f64) {
+/// (whose windowed mirror is a rolling FLOP/s rate), the per-iteration
+/// `nn.gflops` throughput gauge and the `nn.gemm_ms` gauge: time spent
+/// inside GEMM dispatch, summed over the iteration's threads.
+fn publish_iteration_flops((flops0, ns0): (u64, u64), secs: f64) {
     agsc_nn::flops::flush_thread();
     let flops = agsc_nn::flops::total().saturating_sub(flops0);
     if flops > 0 {
         tlm::counter_add("nn.flops", flops);
         tlm::gauge_set("nn.gflops", flops as f64 / secs / 1e9);
+        let ns = agsc_nn::flops::total_ns().saturating_sub(ns0);
+        tlm::gauge_set("nn.gemm_ms", ns as f64 / 1e6);
     }
 }
 
@@ -1311,6 +1331,29 @@ mod tests {
         let stats2 = t.train_iteration(&mut env);
         assert!(stats2.update_skipped);
         assert_eq!(t.iterations_done(), 2);
+    }
+
+    #[test]
+    fn nan_guard_skips_an_update_from_a_poisoned_classifier() {
+        let mut env = small_env();
+        let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
+        // NaN identity probabilities must reach the reward guard instead of
+        // panicking in the classifier's accuracy.
+        for p in t.classifier.as_mut().unwrap().net_mut().params_mut() {
+            p.value.as_mut_slice().fill(f32::NAN);
+        }
+        let learnables = |t: &HiMadrlTrainer| {
+            let mut c = t.checkpoint();
+            c.iterations_done = 0;
+            serde_json::to_string(&c).unwrap()
+        };
+        let before = learnables(&t);
+        let stats = t.train_iteration(&mut env);
+        assert!(stats.update_skipped, "guard must flag the poisoned update");
+        assert!(stats.nan_events >= 1);
+        assert_eq!(stats.classifier_accuracy, 0.0, "NaN rows count as misses");
+        assert_eq!(learnables(&t), before, "learnables must be restored on skip");
+        assert_eq!(t.iterations_done(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Thread-local FLOP accounting for the GEMM hot path.
+//! Thread-local FLOP and time accounting for the GEMM hot path.
 //!
 //! Every matrix product in [`crate::matrix::Matrix`] (`matmul`, `t_matmul`,
 //! `matmul_t`) credits `2·m·n·k` floating-point operations — the textbook
@@ -26,18 +26,34 @@
 //! [`total`] converges even though increments are thread-local;
 //! single-threaded consumers can use [`take_thread`] directly for an exact
 //! per-section delta.
+//!
+//! ## GEMM time
+//!
+//! Next to the FLOP count, each thread tallies the nanoseconds spent
+//! inside `gemm::*` dispatch ([`GemmTimer`], taken around the kernel call
+//! only, after the output allocation). It shares the FLOP tally's gate and
+//! lifecycle: no clock is read and nothing is recorded while telemetry is
+//! off, [`flush_thread`] folds both tallies into their process-wide totals,
+//! and [`reset`] zeroes both. The trainer reports the iteration's delta of
+//! [`total_ns`] as the `nn.gemm_ms` gauge, so GEMM time can be told apart
+//! from allocation, gathers and elementwise work.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use agsc_telemetry as tlm;
 
 thread_local! {
     static LOCAL: Cell<u64> = const { Cell::new(0) };
+    static LOCAL_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Process-wide FLOPs flushed from finished thread sections.
 static GLOBAL: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide GEMM nanoseconds flushed from finished thread sections.
+static GLOBAL_NS: AtomicU64 = AtomicU64::new(0);
 
 /// The FLOP count of an `m×k · k×n` dense matrix product.
 #[inline]
@@ -55,17 +71,49 @@ pub fn add(n: u64) {
     LOCAL.with(|c| c.set(c.get() + n));
 }
 
+/// Times one GEMM dispatch into the calling thread's nanosecond tally.
+/// Reads no clock and records nothing while telemetry is disabled.
+#[must_use = "a GemmTimer records only when stopped"]
+pub struct GemmTimer(Option<Instant>);
+
+impl GemmTimer {
+    /// Start timing (one relaxed load when telemetry is off).
+    #[inline]
+    pub fn start() -> Self {
+        Self(tlm::is_enabled().then(Instant::now))
+    }
+
+    /// Credit the time since [`start`](Self::start) to the calling thread.
+    #[inline]
+    pub fn stop(self) {
+        if let Some(t0) = self.0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            LOCAL_NS.with(|c| c.set(c.get() + ns));
+        }
+    }
+}
+
 /// Take and reset the calling thread's FLOP count.
 pub fn take_thread() -> u64 {
     LOCAL.with(|c| c.replace(0))
 }
 
-/// Fold the calling thread's count into the process-wide total (and reset
-/// it). Worker threads call this before they return.
+/// Take and reset the calling thread's GEMM nanoseconds.
+pub fn take_thread_ns() -> u64 {
+    LOCAL_NS.with(|c| c.replace(0))
+}
+
+/// Fold the calling thread's FLOP and GEMM-time tallies into the
+/// process-wide totals (and reset them). Worker threads call this before
+/// they return.
 pub fn flush_thread() {
     let n = take_thread();
     if n > 0 {
         GLOBAL.fetch_add(n, Ordering::Relaxed);
+    }
+    let ns = take_thread_ns();
+    if ns > 0 {
+        GLOBAL_NS.fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -75,11 +123,19 @@ pub fn total() -> u64 {
     GLOBAL.load(Ordering::Relaxed)
 }
 
-/// Reset the process-wide total *and* the calling thread's tally (a fresh
-/// measurement section).
+/// The process-wide total of flushed GEMM nanoseconds; like [`total`], it
+/// excludes the caller's unflushed tally.
+pub fn total_ns() -> u64 {
+    GLOBAL_NS.load(Ordering::Relaxed)
+}
+
+/// Reset the process-wide totals *and* the calling thread's tallies (a
+/// fresh measurement section).
 pub fn reset() {
     LOCAL.with(|c| c.set(0));
+    LOCAL_NS.with(|c| c.set(0));
     GLOBAL.store(0, Ordering::Relaxed);
+    GLOBAL_NS.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -100,6 +156,11 @@ mod tests {
         take_thread();
         add(123);
         assert_eq!(take_thread(), 0, "disabled telemetry must record zero flops");
+        take_thread_ns();
+        let timer = GemmTimer::start();
+        assert!(timer.0.is_none(), "disabled telemetry must not read the clock");
+        timer.stop();
+        assert_eq!(take_thread_ns(), 0, "disabled telemetry must record zero GEMM time");
     }
 
     #[test]
@@ -108,12 +169,15 @@ mod tests {
         // enables global telemetry, so it drives LOCAL directly.
         reset();
         LOCAL.with(|c| c.set(7));
+        LOCAL_NS.with(|c| c.set(70));
         flush_thread();
         LOCAL.with(|c| c.set(5));
+        LOCAL_NS.with(|c| c.set(50));
         flush_thread();
-        assert_eq!(total(), 12);
+        assert_eq!((total(), total_ns()), (12, 120));
         assert_eq!(take_thread(), 0, "flush must reset the thread tally");
+        assert_eq!(take_thread_ns(), 0, "flush must reset the thread's GEMM time");
         reset();
-        assert_eq!(total(), 0);
+        assert_eq!((total(), total_ns()), (0, 0));
     }
 }

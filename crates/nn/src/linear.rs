@@ -97,6 +97,18 @@ impl Linear {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_params(grad_out);
+        // dX = dY · Wᵀ
+        grad_out.matmul_t(&self.w.value)
+    }
+
+    /// The parameter half of [`backward`](Self::backward): accumulate
+    /// `dL/dW` and `dL/db` without the `dL/dx` product, for a first layer
+    /// nobody differentiates into.
+    ///
+    /// # Panics
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
         let x = self.cache.as_ref().expect("Linear::backward called before forward");
         // dW = xᵀ · dY
         let dw = x.t_matmul(grad_out);
@@ -106,8 +118,6 @@ impl Linear {
         for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(db.iter()) {
             *g += d;
         }
-        // dX = dY · Wᵀ
-        grad_out.matmul_t(&self.w.value)
     }
 
     /// Mutable references to this layer's parameters.

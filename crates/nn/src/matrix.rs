@@ -157,7 +157,9 @@ impl Matrix {
         );
         crate::flops::add(crate::flops::matmul_flops(self.rows, rhs.cols, self.cols));
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let timer = crate::flops::GemmTimer::start();
         gemm::matmul(kernel, self.rows, rhs.cols, self.cols, &self.data, &rhs.data, &mut out.data);
+        timer.stop();
         out
     }
 
@@ -175,6 +177,7 @@ impl Matrix {
         );
         crate::flops::add(crate::flops::matmul_flops(self.cols, rhs.cols, self.rows));
         let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let timer = crate::flops::GemmTimer::start();
         gemm::t_matmul(
             kernel,
             self.cols,
@@ -184,6 +187,7 @@ impl Matrix {
             &rhs.data,
             &mut out.data,
         );
+        timer.stop();
         out
     }
 
@@ -201,6 +205,7 @@ impl Matrix {
         );
         crate::flops::add(crate::flops::matmul_flops(self.rows, rhs.rows, self.cols));
         let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let timer = crate::flops::GemmTimer::start();
         gemm::matmul_t(
             kernel,
             self.rows,
@@ -210,6 +215,7 @@ impl Matrix {
             &rhs.data,
             &mut out.data,
         );
+        timer.stop();
         out
     }
 

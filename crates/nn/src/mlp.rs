@@ -183,17 +183,39 @@ impl Mlp {
     /// Backward pass from `dL/dy`; accumulates parameter gradients and returns
     /// `dL/dx`.
     ///
+    /// Only reads the caches of the last training `forward`, so several
+    /// backward passes may follow one forward.
+    ///
     /// # Panics
     /// Panics if called before a training-mode `forward`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_layers(grad_out, true).expect("the input gradient was requested")
+    }
+
+    /// [`backward`](Self::backward) without `dL/dx`: accumulates the same
+    /// parameter gradients, bit for bit, but skips the first layer's
+    /// input-gradient GEMM. For callers that only step the parameters.
+    ///
+    /// # Panics
+    /// Panics if called before a training-mode `forward`.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
+        self.backward_layers(grad_out, false);
+    }
+
+    /// The one backward loop; returns `dL/dx` when `input_grad` is set.
+    fn backward_layers(&mut self, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         assert_eq!(self.act_cache.len(), self.layers.len(), "Mlp::backward called before forward");
         let n = self.layers.len();
-        let mut g = grad_out.clone();
+        let mut g: Option<Matrix> = None;
         for i in (0..n).rev() {
             let act = if i + 1 == n { self.output_act } else { self.hidden_act };
             let d_act = act.derivative_from_output(&self.act_cache[i]);
-            let gz = g.hadamard(&d_act);
-            g = self.layers[i].backward(&gz);
+            let gz = g.as_ref().unwrap_or(grad_out).hadamard(&d_act);
+            if i == 0 && !input_grad {
+                self.layers[0].backward_params(&gz);
+                return None;
+            }
+            g = Some(self.layers[i].backward(&gz));
         }
         g
     }

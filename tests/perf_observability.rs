@@ -1,6 +1,6 @@
 //! Integration tests for the performance-observability layer: GEMM FLOP
-//! accounting (exact when on, *exactly zero* when off — the bit-identity
-//! contract), the per-thread self-profiler, build-info export, and the
+//! and time accounting (exact when on, *exactly zero* when off — the
+//! bit-identity contract), the per-thread self-profiler, build-info export, and the
 //! bench trend ledger's regression verdicts.
 //!
 //! The telemetry handle (and the profiler and FLOP registries behind it)
@@ -57,8 +57,32 @@ fn flops_are_exactly_zero_when_telemetry_is_off() {
         let _ = a.t_matmul(&a);
         let _ = a.matmul_t(&a);
         assert_eq!(flops::take_thread(), 0, "disabled runs must record zero flops");
+        assert_eq!(flops::take_thread_ns(), 0, "disabled runs must record zero GEMM time");
         flops::flush_thread();
         assert_eq!(flops::total(), 0, "nothing may reach the process-wide total either");
+        assert_eq!(flops::total_ns(), 0, "nor the process-wide GEMM time");
+    });
+}
+
+#[test]
+fn an_iteration_publishes_its_gemm_time_only_when_telemetry_is_on() {
+    let train = || {
+        let env_cfg = EnvConfig { horizon: 10, ..EnvConfig::default() };
+        let mut env = AirGroundEnv::new(env_cfg, &presets::purdue(3), 7);
+        let cfg = TrainConfig { hidden: vec![16], policy_epochs: 1, ..TrainConfig::default() };
+        HiMadrlTrainer::new(&env, cfg, 3, 7).unwrap().train_iteration(&mut env);
+    };
+    with_global(|| {
+        flops::reset();
+        train();
+        flops::flush_thread();
+        assert_eq!(flops::total_ns(), 0, "disabled runs must record zero GEMM time");
+
+        tlm::install(vec![], tlm::Level::Info);
+        train();
+        let gauges = tlm::gauges_snapshot();
+        let gemm_ms = gauges.iter().find(|(name, _)| *name == "nn.gemm_ms").map(|&(_, v)| v);
+        assert!(gemm_ms.is_some_and(|ms| ms > 0.0), "nn.gemm_ms gauge: {gemm_ms:?}");
     });
 }
 
