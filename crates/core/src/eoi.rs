@@ -80,6 +80,28 @@ impl EoiClassifier {
         ce + self.epsilon * h
     }
 
+    /// One pass over a labelled batch in `minibatches` interleaved
+    /// minibatches (row `r` goes to minibatch `r mod minibatches`), one
+    /// Eqn 21 step each; returns the mean loss over the steps. One
+    /// minibatch is one [`train_batch`](Self::train_batch) step on the
+    /// whole batch.
+    pub fn fit(&mut self, obs: &Matrix, labels: &[usize], minibatches: usize) -> f32 {
+        assert_eq!(obs.rows(), labels.len(), "label count mismatch");
+        assert!(minibatches > 0, "at least one minibatch required");
+        let batches = interleaved(labels.len(), minibatches);
+        if batches.is_empty() {
+            return 0.0;
+        }
+        let total: f32 = batches
+            .iter()
+            .map(|idx| {
+                let mb_labels: Vec<usize> = idx.iter().map(|&r| labels[r]).collect();
+                self.train_batch(&obs.gather_rows(idx), &mb_labels)
+            })
+            .sum();
+        total / batches.len() as f32
+    }
+
     /// Classification accuracy of predicted identity distributions
     /// ([`predict`](Self::predict)'s rows) against their labels. A row
     /// holding a NaN counts as a miss.
@@ -92,6 +114,17 @@ impl EoiClassifier {
             labels.iter().enumerate().filter(|&(r, &label)| argmax(probs.row(r)) == Some(label));
         correct.count() as f32 / labels.len() as f32
     }
+}
+
+/// The row indices `0..rows` split into `min(minibatches, rows)`
+/// interleaved minibatches: row `r` goes to minibatch `r mod minibatches`. The trainer
+/// stacks its batch agent by agent, so contiguous chunks would give steps
+/// that each see one identity; interleaving gives every step every agent
+/// (when each agent has at least `minibatches` rows) and draws no
+/// randomness.
+fn interleaved(rows: usize, minibatches: usize) -> Vec<Vec<usize>> {
+    let m = minibatches.min(rows);
+    (0..m).map(|first| (first..rows).step_by(m).collect()).collect()
 }
 
 /// Index of the row's largest entry (the last one on ties), or `None` if
@@ -165,11 +198,52 @@ mod tests {
     }
 
     #[test]
+    fn fit_with_one_minibatch_is_train_batch() {
+        let (obs, labels) = labelled_batch();
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let mut a = EoiClassifier::new(2, &[16], 2, 1e-2, 0.1, &mut rng);
+        let mut b = a.clone();
+        for _ in 0..3 {
+            let la = a.train_batch(&obs, &labels);
+            let lb = b.fit(&obs, &labels, 1);
+            assert_eq!(la.to_bits(), lb.to_bits(), "loss");
+        }
+        // Values, gradients and Adam moments of every parameter.
+        let bits = |c: &mut EoiClassifier| -> Vec<u32> {
+            let params = c.net.params_mut();
+            let mats = params.iter().flat_map(|p| [&p.value, &p.grad, &p.m, &p.v]);
+            mats.flat_map(|m| m.as_slice().iter().map(|x| x.to_bits())).collect()
+        };
+        assert_eq!(bits(&mut a), bits(&mut b), "parameters");
+    }
+
+    #[test]
+    fn interleaved_minibatches_hold_every_label() {
+        // The trainer's layout: 4 agents, each with `t` consecutive rows.
+        for (t, m) in [(25, 8), (8, 8), (100, 8), (25, 1)] {
+            let labels: Vec<usize> = (0..4).flat_map(|k| std::iter::repeat_n(k, t)).collect();
+            let batches = interleaved(labels.len(), m);
+            assert_eq!(batches.len(), m);
+            let mut seen: Vec<usize> = batches.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..labels.len()).collect::<Vec<_>>(), "a partition of the rows");
+            for idx in &batches {
+                for k in 0..4 {
+                    assert!(idx.iter().any(|&r| labels[r] == k), "t={t} m={m}: no label {k}");
+                }
+            }
+        }
+        assert_eq!(interleaved(3, 8), vec![vec![0], vec![1], vec![2]]);
+        assert!(interleaved(0, 8).is_empty());
+    }
+
+    #[test]
     fn empty_batch_is_a_noop() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut c = EoiClassifier::new(2, &[8], 2, 1e-3, 0.1, &mut rng);
         let empty = Matrix::zeros(0, 2);
         assert_eq!(c.train_batch(&empty, &[]), 0.0);
+        assert_eq!(c.fit(&empty, &[], 8), 0.0);
         assert_eq!(EoiClassifier::accuracy(&c.predict(&empty), &[]), 0.0);
     }
 

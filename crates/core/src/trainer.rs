@@ -28,7 +28,8 @@ pub struct IterationStats {
     pub mean_ext_reward: f32,
     /// Mean per-step intrinsic reward actually paid.
     pub mean_intrinsic: f32,
-    /// i-EOI classifier loss (0 when i-EOI is off).
+    /// i-EOI classifier loss, the mean over the iteration's
+    /// `classifier_minibatches` steps (0 when i-EOI is off).
     pub classifier_loss: f32,
     /// i-EOI classification accuracy on this iteration's samples.
     pub classifier_accuracy: f32,
@@ -449,7 +450,7 @@ impl HiMadrlTrainer {
                 let all_obs = Matrix::vstack(&obs_mats.iter().collect::<Vec<_>>());
                 let labels: Vec<usize> =
                     (0..self.num_agents).flat_map(|k| std::iter::repeat_n(k, t_len)).collect();
-                let loss = c.train_batch(&all_obs, &labels);
+                let loss = c.fit(&all_obs, &labels, self.cfg.classifier_minibatches);
                 // One forward of the updated classifier serves both the
                 // accuracy and the intrinsic rewards: rows are independent.
                 let probs = c.predict(&all_obs);

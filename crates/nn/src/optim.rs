@@ -33,17 +33,15 @@ impl Adam {
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
         for p in params.iter_mut() {
-            let n = p.value.len();
-            let grads = p.grad.as_slice().to_vec();
-            for i in 0..n {
-                let g = grads[i];
-                let m = &mut p.m.as_mut_slice()[i];
+            let Param { value, grad, m, v } = &mut **p;
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let slots = value.as_mut_slice().iter_mut().zip(grad.as_slice()).zip(moments);
+            for ((x, &g), (m, v)) in slots {
                 *m = self.beta1 * *m + (1.0 - self.beta1) * g;
                 let mhat = *m / b1t;
-                let v = &mut p.v.as_mut_slice()[i];
                 *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
                 let vhat = *v / b2t;
-                p.value.as_mut_slice()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *x -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
             p.zero_grad();
         }

@@ -53,14 +53,14 @@ fn base() -> TrainConfig {
 
 #[test]
 fn default_config_keeps_its_bits() {
-    assert_eq!(checkpoint_digest(base()), 0x65d9_7236_8ada_d343);
+    assert_eq!(checkpoint_digest(base()), 0x18ef_aba8_f623_c3cb);
 }
 
 #[test]
 fn shared_params_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { shared_params: true, ..base() }),
-        0x6677_ff1b_9e93_73e4
+        0x362f_5fe3_8178_3d2d
     );
 }
 
@@ -68,33 +68,33 @@ fn shared_params_keeps_its_bits() {
 fn centralized_critic_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { centralized_critic: true, ..base() }),
-        0x8398_a94c_9d01_5f48
+        0x5750_3bee_6f9e_5675
     );
 }
 
 #[test]
 fn copo_baseline_keeps_its_bits() {
     let ablation = Ablation { heterogeneous: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xdb47_7608_d30e_28c5);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x805a_0cea_ff4d_858c);
 }
 
 #[test]
 fn without_copo_keeps_its_bits() {
     let ablation = Ablation { use_copo: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x2e4e_3622_6079_c020);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x9215_6027_9a55_c134);
 }
 
 #[test]
 fn without_eoi_keeps_its_bits() {
     let ablation = Ablation { use_eoi: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x11ea_d291_e377_9b5d);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x81e6_d85e_8ef8_28bc);
 }
 
 #[test]
 fn without_value_norm_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { value_norm: false, ..base() }),
-        0xd49c_4fc9_47e8_cad3
+        0x9d7b_7c8c_f5d6_5cf6
     );
 }
 
