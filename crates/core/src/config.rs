@@ -89,12 +89,6 @@ pub struct TrainConfig {
     pub critic_lr: f32,
     /// i-EOI classifier learning rate.
     pub classifier_lr: f32,
-    /// Minibatches of the classifier's one pass per iteration over the
-    /// stacked batch (Algorithm 1, line 12): one Eqn 21 step each. A
-    /// checkpoint without the field was trained with one full-batch step,
-    /// so it restores with 1.
-    #[serde(default = "default_classifier_minibatches")]
-    pub classifier_minibatches: usize,
     /// LCF meta learning rate (gradient ascent on φ, χ).
     pub lcf_lr: f32,
     /// Inner learning rate α in the first-order expansion (Eqn 32).
@@ -158,10 +152,6 @@ fn default_num_envs() -> usize {
     1
 }
 
-fn default_classifier_minibatches() -> usize {
-    1
-}
-
 impl Default for TrainConfig {
     fn default() -> Self {
         Self {
@@ -174,7 +164,6 @@ impl Default for TrainConfig {
             actor_lr: 1e-3,
             critic_lr: 3e-3,
             classifier_lr: 1e-2,
-            classifier_minibatches: 8,
             lcf_lr: 1e-2,
             meta_alpha: 3e-4,
             entropy_coef: 3e-3,
@@ -211,9 +200,6 @@ impl TrainConfig {
         }
         if self.policy_epochs == 0 {
             return Err("at least one policy epoch required".into());
-        }
-        if self.classifier_minibatches == 0 {
-            return Err("at least one classifier minibatch required".into());
         }
         if self.hidden.is_empty() {
             return Err("at least one hidden layer required".into());
@@ -287,22 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn config_without_classifier_minibatches_restores_one_step() {
-        // Checkpoints saved before the field existed trained the classifier
-        // with one full-batch step per iteration and must resume so.
-        let mut v = serde_json::to_value(TrainConfig::default()).unwrap();
-        v.as_object_mut().unwrap().remove("classifier_minibatches");
-        let back: TrainConfig = serde_json::from_value(v).unwrap();
-        assert_eq!(back.classifier_minibatches, 1);
-    }
-
-    #[test]
     fn validation_catches_bad_values() {
         let c = TrainConfig { gamma: 1.5, ..TrainConfig::default() };
         assert!(c.validate().is_err());
         let c = TrainConfig { policy_epochs: 0, ..TrainConfig::default() };
-        assert!(c.validate().is_err());
-        let c = TrainConfig { classifier_minibatches: 0, ..TrainConfig::default() };
         assert!(c.validate().is_err());
         let c = TrainConfig { neighbor_range_frac: 2.0, ..TrainConfig::default() };
         assert!(c.validate().is_err());

@@ -21,6 +21,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
+/// Minibatches of the classifier's one pass per iteration over the stacked
+/// batch (line 12): one Eqn 21 step each, at the FLOPs of one full-batch
+/// step (DESIGN.md §8).
+const CLASSIFIER_MINIBATCHES: usize = 8;
+
 /// Diagnostics of one training iteration.
 #[derive(Debug, Clone, Default)]
 pub struct IterationStats {
@@ -29,7 +34,7 @@ pub struct IterationStats {
     /// Mean per-step intrinsic reward actually paid.
     pub mean_intrinsic: f32,
     /// i-EOI classifier loss, the mean over the iteration's
-    /// `classifier_minibatches` steps (0 when i-EOI is off).
+    /// `CLASSIFIER_MINIBATCHES` steps (0 when i-EOI is off).
     pub classifier_loss: f32,
     /// i-EOI classification accuracy on this iteration's samples.
     pub classifier_accuracy: f32,
@@ -450,7 +455,7 @@ impl HiMadrlTrainer {
                 let all_obs = Matrix::vstack(&obs_mats.iter().collect::<Vec<_>>());
                 let labels: Vec<usize> =
                     (0..self.num_agents).flat_map(|k| std::iter::repeat_n(k, t_len)).collect();
-                let loss = c.fit(&all_obs, &labels, self.cfg.classifier_minibatches);
+                let loss = c.fit(&all_obs, &labels, CLASSIFIER_MINIBATCHES);
                 // One forward of the updated classifier serves both the
                 // accuracy and the intrinsic rewards: rows are independent.
                 let probs = c.predict(&all_obs);

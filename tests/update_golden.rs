@@ -53,14 +53,14 @@ fn base() -> TrainConfig {
 
 #[test]
 fn default_config_keeps_its_bits() {
-    assert_eq!(checkpoint_digest(base()), 0x18ef_aba8_f623_c3cb);
+    assert_eq!(checkpoint_digest(base()), 0x67e8_81ec_4bd9_a880);
 }
 
 #[test]
 fn shared_params_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { shared_params: true, ..base() }),
-        0x362f_5fe3_8178_3d2d
+        0x5390_d334_450e_7ad6
     );
 }
 
@@ -68,33 +68,33 @@ fn shared_params_keeps_its_bits() {
 fn centralized_critic_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { centralized_critic: true, ..base() }),
-        0x5750_3bee_6f9e_5675
+        0x639a_4910_9aed_4484
     );
 }
 
 #[test]
 fn copo_baseline_keeps_its_bits() {
     let ablation = Ablation { heterogeneous: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x805a_0cea_ff4d_858c);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xba88_b1a6_f5e9_277f);
 }
 
 #[test]
 fn without_copo_keeps_its_bits() {
     let ablation = Ablation { use_copo: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x9215_6027_9a55_c134);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x022f_a147_4c0d_5aab);
 }
 
 #[test]
 fn without_eoi_keeps_its_bits() {
     let ablation = Ablation { use_eoi: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x81e6_d85e_8ef8_28bc);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xeb43_a400_0138_f4b5);
 }
 
 #[test]
 fn without_value_norm_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { value_norm: false, ..base() }),
-        0x9d7b_7c8c_f5d6_5cf6
+        0xa62c_be1f_1e6f_34f9
     );
 }
 
