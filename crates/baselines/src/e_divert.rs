@@ -13,28 +13,13 @@
 
 use agsc_env::{AirGroundEnv, UvAction};
 use agsc_madrl::Policy;
-use agsc_nn::lstm::{LstmCell, LstmState};
 use agsc_nn::{Activation, Adam, GruCell, Init, Matrix, Mlp};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
-/// Which recurrent core the e-Divert actor uses. The original paper uses
-/// an LSTM; the GRU default is lighter with the same gated-recurrence
-/// behaviour (see DESIGN.md §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecurrentKind {
-    /// Gated recurrent unit (default).
-    Gru,
-    /// Long short-term memory (paper-exact).
-    Lstm,
-}
 
 /// Hyperparameters for e-Divert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EDivertConfig {
-    /// Recurrent core flavour.
-    pub recurrent: RecurrentKind,
     /// Discount factor.
     pub gamma: f32,
     /// Actor learning rate.
@@ -62,7 +47,6 @@ pub struct EDivertConfig {
 impl Default for EDivertConfig {
     fn default() -> Self {
         Self {
-            recurrent: RecurrentKind::Gru,
             gamma: 0.99,
             actor_lr: 1e-3,
             critic_lr: 3e-3,
@@ -145,138 +129,10 @@ impl PrioritizedReplay {
     }
 }
 
-/// Recurrent core abstraction: GRU carries `h`; LSTM carries `[h | c]`
-/// column-concatenated so the replay buffer stores one flat state vector
-/// either way.
-#[derive(Debug, Clone)]
-enum Recurrent {
-    Gru(Box<GruCell>),
-    Lstm(Box<LstmCell>),
-}
-
-impl Recurrent {
-    fn new<R: Rng + ?Sized>(
-        kind: RecurrentKind,
-        in_dim: usize,
-        hidden: usize,
-        rng: &mut R,
-    ) -> Self {
-        match kind {
-            RecurrentKind::Gru => Recurrent::Gru(Box::new(GruCell::new(in_dim, hidden, rng))),
-            RecurrentKind::Lstm => Recurrent::Lstm(Box::new(LstmCell::new(in_dim, hidden, rng))),
-        }
-    }
-
-    fn hidden_dim(&self) -> usize {
-        match self {
-            Recurrent::Gru(c) => c.hidden_dim(),
-            Recurrent::Lstm(c) => c.hidden_dim(),
-        }
-    }
-
-    /// Flat stored-state width (`h` for GRU, `[h | c]` for LSTM).
-    fn state_dim(&self) -> usize {
-        match self {
-            Recurrent::Gru(c) => c.hidden_dim(),
-            Recurrent::Lstm(c) => 2 * c.hidden_dim(),
-        }
-    }
-
-    fn split_lstm(&self, state: &Matrix) -> LstmState {
-        let hd = self.hidden_dim();
-        let b = state.rows();
-        let mut h = Matrix::zeros(b, hd);
-        let mut c = Matrix::zeros(b, hd);
-        for r in 0..b {
-            h.row_mut(r).copy_from_slice(&state.row(r)[..hd]);
-            c.row_mut(r).copy_from_slice(&state.row(r)[hd..]);
-        }
-        LstmState { h, c }
-    }
-
-    fn join_lstm(s: &LstmState) -> Matrix {
-        let b = s.h.rows();
-        let hd = s.h.cols();
-        let mut out = Matrix::zeros(b, 2 * hd);
-        for r in 0..b {
-            out.row_mut(r)[..hd].copy_from_slice(s.h.row(r));
-            out.row_mut(r)[hd..].copy_from_slice(s.c.row(r));
-        }
-        out
-    }
-
-    /// Inference step: `(hidden output h, next flat state)`.
-    fn forward_inference(&self, x: &Matrix, state: &Matrix) -> (Matrix, Matrix) {
-        match self {
-            Recurrent::Gru(c) => {
-                let h = c.forward_inference(x, state);
-                (h.clone(), h)
-            }
-            Recurrent::Lstm(c) => {
-                let next = c.forward_inference(x, &self.split_lstm(state));
-                (next.h.clone(), Self::join_lstm(&next))
-            }
-        }
-    }
-
-    /// Cached training step returning the hidden output.
-    fn forward(&mut self, x: &Matrix, state: &Matrix) -> Matrix {
-        match self {
-            Recurrent::Gru(c) => c.forward(x, state),
-            Recurrent::Lstm(c) => {
-                let hd = c.hidden_dim();
-                let b = state.rows();
-                let mut h = Matrix::zeros(b, hd);
-                let mut cc = Matrix::zeros(b, hd);
-                for r in 0..b {
-                    h.row_mut(r).copy_from_slice(&state.row(r)[..hd]);
-                    cc.row_mut(r).copy_from_slice(&state.row(r)[hd..]);
-                }
-                c.forward(x, &LstmState { h, c: cc }).h
-            }
-        }
-    }
-
-    fn backward_sequence(&mut self, grads: &[Matrix]) -> Vec<Matrix> {
-        match self {
-            Recurrent::Gru(c) => c.backward_sequence(grads),
-            Recurrent::Lstm(c) => c.backward_sequence(grads),
-        }
-    }
-
-    fn reset_cache(&mut self) {
-        match self {
-            Recurrent::Gru(c) => c.reset_cache(),
-            Recurrent::Lstm(c) => c.reset_cache(),
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        match self {
-            Recurrent::Gru(c) => c.zero_grad(),
-            Recurrent::Lstm(c) => c.zero_grad(),
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut agsc_nn::Param> {
-        match self {
-            Recurrent::Gru(c) => c.params_mut(),
-            Recurrent::Lstm(c) => c.params_mut(),
-        }
-    }
-
-    fn params(&self) -> Vec<&agsc_nn::Param> {
-        match self {
-            Recurrent::Gru(c) => c.params(),
-            Recurrent::Lstm(c) => c.params(),
-        }
-    }
-}
-
-/// Recurrent deterministic actor: core(obs, state) → head → tanh action.
+/// Recurrent deterministic actor: GRU(obs, h) → head → tanh action.
 #[derive(Debug, Clone)]
 struct Actor {
-    core: Recurrent,
+    core: GruCell,
     head: Mlp,
 }
 
@@ -286,7 +142,7 @@ impl Actor {
         head_sizes.extend_from_slice(&cfg.hidden);
         head_sizes.push(2);
         Self {
-            core: Recurrent::new(cfg.recurrent, obs_dim, cfg.gru_hidden, rng),
+            core: GruCell::new(obs_dim, cfg.gru_hidden, rng),
             head: Mlp::new(
                 &head_sizes,
                 Activation::Tanh,
@@ -299,13 +155,13 @@ impl Actor {
     }
 
     fn state_dim(&self) -> usize {
-        self.core.state_dim()
+        self.core.hidden_dim()
     }
 
-    /// Inference: `(action batch, next flat state batch)`.
-    fn forward_inference(&self, obs: &Matrix, state: &Matrix) -> (Matrix, Matrix) {
-        let (h, next) = self.core.forward_inference(obs, state);
-        (self.head.forward_inference(&h), next)
+    /// Inference: `(action batch, next hidden state batch)`.
+    fn forward_inference(&self, obs: &Matrix, h: &Matrix) -> (Matrix, Matrix) {
+        let next = self.core.forward_inference(obs, h);
+        (self.head.forward_inference(&next), next)
     }
 
     /// Soft-update parameters towards `source`.
@@ -653,18 +509,6 @@ mod tests {
         assert!(r.is_finite());
         assert_eq!(learner.replay_len(), 12 * 4);
         assert_eq!(learner.iterations_done(), 1);
-    }
-
-    #[test]
-    fn lstm_variant_trains_too() {
-        let mut e = env();
-        let cfg = EDivertConfig { recurrent: RecurrentKind::Lstm, ..small_cfg() };
-        let mut learner = EDivert::new(&e, cfg, 3);
-        let r = learner.train_iteration(&mut e);
-        assert!(r.is_finite());
-        let obs = vec![0.1f32; e.obs_dim()];
-        let a = learner.action(0, &obs);
-        assert!(a.heading.abs() <= 1.0 && a.speed.abs() <= 1.0);
     }
 
     #[test]

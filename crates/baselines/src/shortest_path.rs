@@ -2,9 +2,8 @@
 //! genetic algorithm to visit a sequence of PoIs", with UGV legs routed on
 //! the road network.
 //!
-//! PoIs are partitioned across UVs by proximity (balanced greedy), then each
-//! UV's visiting order is optimised with a permutation GA (tournament
-//! selection, order crossover, swap mutation). Execution is a simple
+//! Each UV's visiting order over all PoIs is optimised with a permutation GA
+//! (tournament selection, order crossover, swap mutation). Execution is a simple
 //! target-chasing controller: head to the current target at full speed,
 //! dwell until it drains (or a dwell cap expires), then advance.
 
@@ -214,36 +213,6 @@ fn nearest_neighbor_order(legs: &LegMatrix, n: usize) -> Vec<usize> {
     order
 }
 
-/// Balanced proximity partition of PoIs across UVs.
-fn partition_pois(env: &AirGroundEnv) -> Vec<Vec<usize>> {
-    let k = env.num_uvs();
-    let pois = env.poi_positions();
-    let mut buckets = vec![Vec::new(); k];
-    // Greedy: PoIs in popularity order, each to the least-loaded of its two
-    // nearest UVs (all UVs start at the same point, so use a round-robin
-    // angular split to break the tie deterministically).
-    for (i, p) in pois.iter().enumerate() {
-        let angle = (p.y - env.start().y).atan2(p.x - env.start().x);
-        let sector =
-            (((angle + std::f64::consts::PI) / (2.0 * std::f64::consts::PI)) * k as f64) as usize;
-        buckets[sector.min(k - 1)].push(i);
-    }
-    // Rebalance: move from the largest to the smallest bucket until sizes
-    // differ by at most one.
-    loop {
-        let (max_i, max_len) =
-            buckets.iter().enumerate().map(|(i, b)| (i, b.len())).max_by_key(|x| x.1).unwrap();
-        let (min_i, min_len) =
-            buckets.iter().enumerate().map(|(i, b)| (i, b.len())).min_by_key(|x| x.1).unwrap();
-        if max_len <= min_len + 1 {
-            break;
-        }
-        let moved = buckets[max_i].pop().unwrap();
-        buckets[min_i].push(moved);
-    }
-    buckets
-}
-
 /// Per-UV runtime state of the chasing controller.
 #[derive(Debug, Clone)]
 struct ChaseState {
@@ -275,35 +244,15 @@ impl ShortestPathPolicy {
     /// UVs end up on near-identical tours — the redundancy the paper
     /// criticises this baseline for.
     pub fn plan(env: &AirGroundEnv, ga: &GaConfig, seed: u64) -> Self {
-        let all: Vec<usize> = (0..env.poi_positions().len()).collect();
-        let partitions = vec![all; env.num_uvs()];
-        Self::plan_with_partitions(env, ga, seed, partitions)
-    }
-
-    /// Extension over the paper: partition PoIs across UVs by proximity
-    /// first, giving the baseline the spatial division of work it otherwise
-    /// lacks. Used by the design-ablation benches.
-    pub fn plan_partitioned(env: &AirGroundEnv, ga: &GaConfig, seed: u64) -> Self {
-        Self::plan_with_partitions(env, ga, seed, partition_pois(env))
-    }
-
-    fn plan_with_partitions(
-        env: &AirGroundEnv,
-        ga: &GaConfig,
-        seed: u64,
-        partitions: Vec<Vec<usize>>,
-    ) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let pois = env.poi_positions();
         let kinds: Vec<UvKind> = env.uv_states().iter().map(|u| u.kind).collect();
-        let mut routes = Vec::with_capacity(env.num_uvs());
-        let mut route_pois = Vec::with_capacity(env.num_uvs());
-        for (k, part) in partitions.iter().enumerate() {
-            let targets: Vec<Point> = part.iter().map(|&i| pois[i]).collect();
-            let order = evolve_order(kinds[k], env.roads(), &env.start(), &targets, ga, &mut rng);
-            routes.push(order.iter().map(|&o| targets[o]).collect());
-            route_pois.push(order.iter().map(|&o| part[o]).collect());
-        }
+        let route_pois: Vec<Vec<usize>> = kinds
+            .iter()
+            .map(|&kind| evolve_order(kind, env.roads(), &env.start(), pois, ga, &mut rng))
+            .collect();
+        let routes =
+            route_pois.iter().map(|order| order.iter().map(|&o| pois[o]).collect()).collect();
         let bounds = env.bounds();
         Self {
             routes,
@@ -318,7 +267,7 @@ impl ShortestPathPolicy {
         }
     }
 
-    /// Reset the chasing state (call between evaluation episodes).
+    /// Reset the chasing state (evaluation calls it before every episode).
     pub fn reset(&self) {
         for s in self.state.borrow_mut().iter_mut() {
             s.next = 0;
@@ -341,6 +290,10 @@ impl ShortestPathPolicy {
 }
 
 impl Policy for ShortestPathPolicy {
+    fn reset(&self) {
+        ShortestPathPolicy::reset(self);
+    }
+
     fn action(&self, k: usize, obs: &[f32]) -> UvAction {
         let mut states = self.state.borrow_mut();
         let st = &mut states[k];
@@ -428,19 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_covers_all_pois_balanced() {
-        let e = env();
-        let parts = partition_pois(&e);
-        assert_eq!(parts.len(), 4);
-        let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-        let max = parts.iter().map(Vec::len).max().unwrap();
-        let min = parts.iter().map(Vec::len).min().unwrap();
-        assert!(max - min <= 1, "partition must be balanced ({min}..{max})");
-    }
-
-    #[test]
     fn policy_runs_an_episode_and_collects() {
         let mut e = env();
         let ga = GaConfig { population: 16, generations: 20, ..Default::default() };
@@ -455,6 +395,16 @@ mod tests {
         }
         let after: f64 = e.poi_remaining().iter().sum();
         assert!(after < before, "shortest-path chasing should collect data");
+    }
+
+    #[test]
+    fn back_to_back_evaluations_agree() {
+        let mut e = env();
+        let ga = GaConfig { population: 16, generations: 20, ..Default::default() };
+        let policy = ShortestPathPolicy::plan(&e, &ga, 3);
+        let first = agsc_madrl::evaluate(&policy, &mut e, 2, 11);
+        let second = agsc_madrl::evaluate(&policy, &mut e, 2, 11);
+        assert_eq!(first, second, "each episode must start from a fresh chase state");
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! point is additionally merged into `BENCH_results.json` (see
 //! [`BenchResults`]) with its five metrics and wall-clock cost.
 
-use crate::harness::{parallel_map, run_method_robust_timed, HarnessConfig, Method};
+use crate::harness::{parallel_map, run_method_robust, HarnessConfig, Method};
 use crate::output::ExperimentWriter;
 use crate::results::BenchResults;
 use crate::table::{banner, metrics_header, metrics_row, rule, series_header, series_row};
 use agsc_baselines::ippo;
 use agsc_datasets::{presets, CampusDataset};
 use agsc_env::{render_ascii, AirGroundEnv, EnvConfig, Metrics, UvAction, UvKind};
-use agsc_madrl::{Ablation, HiMadrlTrainer, IntrinsicSchedule, Policy, TrainConfig};
+use agsc_madrl::{play_episode, Ablation, HiMadrlTrainer, IntrinsicSchedule, Policy, TrainConfig};
 use std::time::Instant;
 
 /// The two campus datasets, generated from the harness seed.
@@ -53,7 +53,7 @@ pub fn table3_hyperparams(h: &HarnessConfig) {
                     centralized_critic: cc,
                     ..TrainConfig::default()
                 };
-                run_method_robust_timed(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
+                run_method_robust(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
             });
             for ((sp, cc), (m, secs)) in jobs.iter().zip(results.iter()) {
                 let label = format!(
@@ -90,7 +90,7 @@ pub fn table4_win_decay(h: &HarnessConfig) {
         w.line(rule());
         let results = parallel_map(schedules.clone(), |(_, sched)| {
             let cfg = TrainConfig { intrinsic: *sched, ..TrainConfig::default() };
-            run_method_robust_timed(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
+            run_method_robust(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
         });
         for ((label, _), (m, secs)) in schedules.iter().zip(results.iter()) {
             w.line(metrics_row(label, m));
@@ -116,7 +116,7 @@ pub fn table5_neighbor_range(h: &HarnessConfig) {
     for dataset in both_campuses(h.seed) {
         let results = parallel_map(fracs.to_vec(), |&frac| {
             let cfg = TrainConfig { neighbor_range_frac: frac, ..TrainConfig::default() };
-            run_method_robust_timed(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
+            run_method_robust(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
         });
         w.line(format!("\n[{}]", dataset.name));
         w.line(series_header("range", &ticks));
@@ -153,7 +153,7 @@ pub fn table6_ablation(h: &HarnessConfig) {
         w.line(rule());
         let results = parallel_map(variants.clone(), |(_, ab)| {
             let cfg = TrainConfig { ablation: *ab, ..TrainConfig::default() };
-            run_method_robust_timed(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
+            run_method_robust(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
         });
         for ((label, _), (m, secs)) in variants.iter().zip(results.iter()) {
             w.line(metrics_row(label, m));
@@ -272,7 +272,7 @@ pub fn run_figure_sweep(sweep: &Sweep, h: &HarnessConfig) {
             .flat_map(|&m| (0..sweep.configs.len()).map(move |i| (m, i)))
             .collect();
         let results: Vec<(Metrics, f64)> = parallel_map(jobs.clone(), |&(m, i)| {
-            run_method_robust_timed(m, &sweep.configs[i], &dataset, h, None)
+            run_method_robust(m, &sweep.configs[i], &dataset, h, None)
         });
         for (&(m, i), (metrics, secs)) in jobs.iter().zip(results.iter()) {
             let label = format!("{} @ {}={}", m.name(), sweep.x_label, sweep.ticks[i]);
@@ -402,13 +402,7 @@ fn render_variant(
     let mut t =
         HiMadrlTrainer::new(&env, cfg, h.iters, h.seed).expect("training config must be valid");
     t.train(&mut env, h.iters);
-    env.reset(h.seed.wrapping_add(777));
-    while !env.is_done() {
-        let obs = env.observations();
-        let actions: Vec<UvAction> =
-            (0..env.num_uvs()).map(|k| t.policy_action(k, &obs[k])).collect();
-        env.step(&actions);
-    }
+    let m = play_episode(&t, &mut env, h.seed.wrapping_add(777));
     let trajectories = env.trajectories().to_vec();
     let num_uavs = env.uv_states().iter().filter(|u| u.kind == UvKind::Uav).count();
     let drained: Vec<bool> = env.poi_remaining().iter().map(|&d| d <= 0.0).collect();
@@ -421,7 +415,6 @@ fn render_variant(
         env.start(),
         (72, 24),
     );
-    let m = env.metrics();
     format!(
         "--- {label} ({}) | lambda {:.3} psi {:.3} ---\n{art}",
         dataset.name, m.efficiency, m.data_collection_ratio
@@ -537,7 +530,7 @@ pub fn abl_gae(h: &HarnessConfig) {
     w.line(rule());
     let results = parallel_map(lambdas.to_vec(), |&l| {
         let cfg = TrainConfig { gae_lambda: l, ..TrainConfig::default() };
-        run_method_robust_timed(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
+        run_method_robust(Method::HiMadrl, &base_env(), &dataset, h, Some(cfg))
     });
     for (l, (m, secs)) in lambdas.iter().zip(results.iter()) {
         let label = match *l {
@@ -574,7 +567,7 @@ pub fn abl_access(h: &HarnessConfig) {
     let results = parallel_map(models.to_vec(), |&(_, model)| {
         let mut env_cfg = base_env();
         env_cfg.access_model = model;
-        run_method_robust_timed(Method::HiMadrl, &env_cfg, &dataset, h, None)
+        run_method_robust(Method::HiMadrl, &env_cfg, &dataset, h, None)
     });
     for ((label, _), (m, secs)) in models.iter().zip(results.iter()) {
         w.line(metrics_row(label, m));

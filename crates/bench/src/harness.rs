@@ -17,15 +17,16 @@ use agsc_baselines::{
     ShortestPathPolicy,
 };
 use agsc_datasets::CampusDataset;
-use agsc_env::{AirGroundEnv, EnvConfig, Metrics, UvAction};
+use agsc_env::{AirGroundEnv, EnvConfig, Metrics};
 use agsc_madrl::parallel::panic_message;
-use agsc_madrl::{HiMadrlTrainer, Policy, TrainConfig, TrainError};
+use agsc_madrl::{evaluate, HiMadrlTrainer, TrainConfig, TrainError};
 use agsc_telemetry::{self as tlm, knobs};
 
 // The worker-pool machinery was promoted to `agsc-madrl::parallel` so the
 // trainer's parallel rollout engine can share it; re-exported here to keep
 // the bench-facing API unchanged.
 pub use agsc_madrl::parallel::{parallel_map, parallel_try_map, JobPanic};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -48,12 +49,15 @@ impl Default for HarnessConfig {
 
 impl HarnessConfig {
     /// Read the budget from `AGSC_ITERS` / `AGSC_EVAL_EPISODES` / `AGSC_SEED`;
-    /// a malformed value warns and keeps its default.
+    /// a malformed value warns and keeps its default. `AGSC_EVAL_EPISODES=0`
+    /// is malformed: zero episodes would average to the all-zero row that
+    /// [`run_method_robust`] records for a failed point.
     pub fn from_env() -> Self {
         let d = Self::default();
+        let eval_episodes = NonZeroUsize::new(d.eval_episodes).expect("default is positive");
         Self {
             iters: knobs::parse("AGSC_ITERS", d.iters),
-            eval_episodes: knobs::parse("AGSC_EVAL_EPISODES", d.eval_episodes),
+            eval_episodes: knobs::parse("AGSC_EVAL_EPISODES", eval_episodes).get(),
             seed: knobs::parse("AGSC_SEED", d.seed),
         }
     }
@@ -110,30 +114,6 @@ impl Method {
     }
 }
 
-/// Evaluate any policy for `episodes` greedy episodes with an optional
-/// per-episode reset hook (the Shortest-Path controller is stateful).
-pub fn evaluate_policy<P: Policy>(
-    policy: &P,
-    env: &mut AirGroundEnv,
-    episodes: usize,
-    base_seed: u64,
-    reset_hook: impl Fn(&P),
-) -> Metrics {
-    let mut runs = Vec::with_capacity(episodes);
-    for e in 0..episodes {
-        env.reset(base_seed.wrapping_add(e as u64));
-        reset_hook(policy);
-        while !env.is_done() {
-            let obs = env.observations();
-            let actions: Vec<UvAction> =
-                (0..env.num_uvs()).map(|k| policy.action(k, &obs[k])).collect();
-            env.step(&actions);
-        }
-        runs.push(env.metrics());
-    }
-    Metrics::mean(&runs)
-}
-
 /// Train (if applicable) and evaluate `method` on one environment point.
 ///
 /// `train_override` lets hyperparameter experiments (Tables III-V) replace
@@ -166,7 +146,7 @@ pub fn run_method(
             };
             let mut t = HiMadrlTrainer::new(&env, cfg, h.iters, h.seed)?;
             t.train(&mut env, h.iters);
-            evaluate_policy(&t, &mut env, h.eval_episodes, eval_seed, |_| {})
+            evaluate(&t, &mut env, h.eval_episodes, eval_seed)
         }
         Method::EDivert => {
             let cfg = EDivertConfig { updates_per_iteration: 16, ..Default::default() };
@@ -174,16 +154,16 @@ pub fn run_method(
             for _ in 0..h.iters {
                 learner.train_iteration(&mut env);
             }
-            evaluate_policy(&learner, &mut env, h.eval_episodes, eval_seed, |_| {})
+            evaluate(&learner, &mut env, h.eval_episodes, eval_seed)
         }
         Method::ShortestPath => {
             let ga = GaConfig::default();
             let policy = ShortestPathPolicy::plan(&env, &ga, h.seed);
-            evaluate_policy(&policy, &mut env, h.eval_episodes, eval_seed, |p| p.reset())
+            evaluate(&policy, &mut env, h.eval_episodes, eval_seed)
         }
         Method::Random => {
             let policy = RandomPolicy::new(h.seed);
-            evaluate_policy(&policy, &mut env, h.eval_episodes, eval_seed, |_| {})
+            evaluate(&policy, &mut env, h.eval_episodes, eval_seed)
         }
     };
     if let Some(t0) = started {
@@ -203,14 +183,16 @@ pub fn run_method(
 /// Like [`run_method`], but never fails the campaign: errors and panics are
 /// contained, the point is retried once on a bumped seed, and a zero-metrics
 /// sentinel row (`Metrics::default()`) is recorded if the retry also fails.
-/// Every failure is reported on stderr.
+/// Every failure is reported on stderr. Also returns the wall-clock seconds
+/// the point cost (train + eval + any retry), for machine-readable rows.
 pub fn run_method_robust(
     method: Method,
     env_cfg: &EnvConfig,
     dataset: &CampusDataset,
     h: &HarnessConfig,
     train_override: Option<TrainConfig>,
-) -> Metrics {
+) -> (Metrics, f64) {
+    let t0 = Instant::now();
     let attempt = |budget: &HarnessConfig| -> Result<Metrics, BenchError> {
         match catch_unwind(AssertUnwindSafe(|| {
             run_method(method, env_cfg, dataset, budget, train_override.clone())
@@ -219,7 +201,7 @@ pub fn run_method_robust(
             Err(payload) => Err(BenchError::JobPanicked(panic_message(&*payload))),
         }
     };
-    match attempt(h) {
+    let metrics = match attempt(h) {
         Ok(m) => m,
         Err(first) => {
             // Transient numeric blow-ups are usually seed-specific; one
@@ -246,20 +228,7 @@ pub fn run_method_robust(
                 }
             }
         }
-    }
-}
-
-/// [`run_method_robust`] plus the wall-clock seconds the point cost
-/// (train + eval + any retry), for machine-readable result rows.
-pub fn run_method_robust_timed(
-    method: Method,
-    env_cfg: &EnvConfig,
-    dataset: &CampusDataset,
-    h: &HarnessConfig,
-    train_override: Option<TrainConfig>,
-) -> (Metrics, f64) {
-    let t0 = Instant::now();
-    let metrics = run_method_robust(method, env_cfg, dataset, h, train_override);
+    };
     (metrics, t0.elapsed().as_secs_f64())
 }
 
@@ -317,17 +286,8 @@ mod tests {
         let cfg = tiny_env_cfg();
         let h = tiny_harness();
         let direct = run_method(Method::Random, &cfg, &dataset, &h, None).unwrap();
-        let robust = run_method_robust(Method::Random, &cfg, &dataset, &h, None);
+        let (robust, secs) = run_method_robust(Method::Random, &cfg, &dataset, &h, None);
         assert_eq!(direct, robust);
-    }
-
-    #[test]
-    fn run_method_robust_timed_reports_wall_clock() {
-        let dataset = presets::purdue(1);
-        let cfg = tiny_env_cfg();
-        let h = tiny_harness();
-        let (m, secs) = run_method_robust_timed(Method::Random, &cfg, &dataset, &h, None);
-        assert!(m.efficiency.is_finite());
         assert!(secs > 0.0, "wall-clock must be positive, got {secs}");
     }
 
@@ -339,7 +299,7 @@ mod tests {
         // Invalid on every seed: both the attempt and the retry fail, and
         // the campaign gets a zero row instead of a panic.
         let bad = TrainConfig { gamma: 2.0, ..TrainConfig::default() };
-        let m = run_method_robust(Method::HiMadrl, &cfg, &dataset, &h, Some(bad));
+        let (m, _) = run_method_robust(Method::HiMadrl, &cfg, &dataset, &h, Some(bad));
         assert_eq!(m, Metrics::default());
     }
 

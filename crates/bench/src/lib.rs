@@ -17,8 +17,7 @@ pub mod table;
 
 pub use error::BenchError;
 pub use harness::{
-    evaluate_policy, parallel_map, parallel_try_map, run_method, run_method_robust,
-    run_method_robust_timed, HarnessConfig, JobPanic, Method,
+    parallel_map, parallel_try_map, run_method, run_method_robust, HarnessConfig, JobPanic, Method,
 };
 pub use ledger::{HistoryEntry, TrendConfig, TrendRow, Verdict};
 pub use output::ExperimentWriter;

@@ -43,7 +43,7 @@ pub use diagnostics::{
 };
 pub use eoi::EoiClassifier;
 pub use error::{CheckpointError, TrainError};
-pub use eval::{evaluate, Policy};
+pub use eval::{evaluate, play_episode, Policy};
 pub use gae::{gae, gae_segmented, normalize_advantages};
 pub use maddpg::{Maddpg, MaddpgConfig};
 pub use parallel::{parallel_map, parallel_try_map, resolve_workers, JobPanic};

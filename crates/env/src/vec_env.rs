@@ -99,11 +99,6 @@ impl VecEnv {
         &self.envs[i]
     }
 
-    /// Mutable replica `i`.
-    pub fn env_mut(&mut self, i: usize) -> &mut AirGroundEnv {
-        &mut self.envs[i]
-    }
-
     /// Reset every replica with its [`derive_env_seed`] of `batch_seed`.
     pub fn reset_derived(&mut self, batch_seed: u64) {
         for (i, env) in self.envs.iter_mut().enumerate() {

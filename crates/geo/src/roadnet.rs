@@ -248,18 +248,6 @@ impl RoadNetwork {
         self.dijkstra(from).0[to]
     }
 
-    /// All nodes whose shortest-path distance from `source` is ≤ `budget`,
-    /// with their distances. This is a UGV's feasible destination set for one
-    /// timeslot.
-    pub fn reachable_within(&self, source: NodeId, budget: f64) -> Vec<(NodeId, f64)> {
-        let (dist, _) = self.dijkstra(source);
-        dist.iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite() && **d <= budget)
-            .map(|(i, d)| (i, *d))
-            .collect()
-    }
-
     /// Execute a UGV move: walk the shortest path from the node nearest
     /// `start` towards the node nearest `target`, stopping after `budget`
     /// metres (possibly mid-edge).
@@ -414,15 +402,6 @@ mod tests {
         let net = grid3x3();
         let id = net.nearest_node(&Point::new(11.0, 1.0));
         assert_eq!(id, 1); // node at (10, 0)
-    }
-
-    #[test]
-    fn reachable_within_budget() {
-        let net = grid3x3();
-        let within = net.reachable_within(0, 10.0);
-        let ids: Vec<NodeId> = within.iter().map(|&(i, _)| i).collect();
-        assert!(ids.contains(&0) && ids.contains(&1) && ids.contains(&3));
-        assert_eq!(ids.len(), 3);
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //!
 //! UAV/UGV actions in the paper are continuous `(direction, speed)` pairs, so
 //! actors use a diagonal Gaussian with a state-independent learned `log σ`
-//! (standard PPO parameterisation). The i-EOI classifier and the discrete
-//! baselines additionally need a categorical distribution.
+//! (standard PPO parameterisation).
 
-use crate::activation::{log_softmax_rows, softmax_rows};
 use crate::matrix::Matrix;
 use rand::Rng;
 
@@ -100,82 +98,6 @@ impl<'a> DiagGaussian<'a> {
     }
 }
 
-/// Categorical distribution over a batch of logits rows.
-#[derive(Debug, Clone)]
-pub struct Categorical<'a> {
-    /// Batch of logits, `B × n`.
-    pub logits: &'a Matrix,
-}
-
-impl<'a> Categorical<'a> {
-    /// Wrap a batch of unnormalised logits.
-    pub fn new(logits: &'a Matrix) -> Self {
-        Self { logits }
-    }
-
-    /// Normalised probabilities, `B × n`.
-    pub fn probs(&self) -> Matrix {
-        softmax_rows(self.logits)
-    }
-
-    /// Sample one class index per row.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
-        let probs = self.probs();
-        let mut out = Vec::with_capacity(probs.rows());
-        for r in 0..probs.rows() {
-            let u: f32 = rng.gen();
-            let mut acc = 0.0f32;
-            let row = probs.row(r);
-            let mut choice = row.len() - 1;
-            for (i, &p) in row.iter().enumerate() {
-                acc += p;
-                if u < acc {
-                    choice = i;
-                    break;
-                }
-            }
-            out.push(choice);
-        }
-        out
-    }
-
-    /// Log-probability of the given class per row.
-    pub fn log_prob(&self, classes: &[usize]) -> Vec<f32> {
-        let ls = log_softmax_rows(self.logits);
-        classes.iter().enumerate().map(|(r, &c)| ls[(r, c)]).collect()
-    }
-
-    /// Mean entropy across the batch.
-    pub fn entropy(&self) -> f32 {
-        let p = self.probs();
-        let lp = log_softmax_rows(self.logits);
-        let mut h = 0.0f32;
-        for r in 0..p.rows() {
-            for c in 0..p.cols() {
-                h -= p[(r, c)] * lp[(r, c)];
-            }
-        }
-        h / p.rows().max(1) as f32
-    }
-
-    /// Gradient of `Σ_r coeff[r] · log p(class_r)` w.r.t. the logits:
-    /// `coeff · (onehot − softmax)` — but note the sign convention here
-    /// returns the gradient of the *objective* (ascent direction negated by
-    /// the caller as needed).
-    pub fn log_prob_grad(&self, classes: &[usize], coeff: &[f32]) -> Matrix {
-        let p = self.probs();
-        let mut g = Matrix::zeros(p.rows(), p.cols());
-        for r in 0..p.rows() {
-            let w = coeff[r];
-            for c in 0..p.cols() {
-                let onehot = if classes[r] == c { 1.0 } else { 0.0 };
-                g[(r, c)] = w * (onehot - p[(r, c)]);
-            }
-        }
-        g
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,40 +173,5 @@ mod tests {
             let num = (lp - lm) / (2.0 * eps);
             assert!((num - dls[c]).abs() < 1e-2, "d_log_std[{c}]");
         }
-    }
-
-    #[test]
-    fn categorical_probs_normalised_and_sampling_biased() {
-        let logits = Matrix::from_vec(1, 3, vec![0.0, 0.0, 5.0]);
-        let d = Categorical::new(&logits);
-        let p = d.probs();
-        assert!((p.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut counts = [0usize; 3];
-        for _ in 0..500 {
-            counts[d.sample(&mut rng)[0]] += 1;
-        }
-        assert!(counts[2] > 450, "dominant logit should dominate samples");
-    }
-
-    #[test]
-    fn categorical_log_prob_grad_is_onehot_minus_softmax() {
-        let logits = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let d = Categorical::new(&logits);
-        let g = d.log_prob_grad(&[1], &[1.0]);
-        let p = d.probs();
-        assert!((g[(0, 0)] + p[(0, 0)]).abs() < 1e-5);
-        assert!((g[(0, 1)] - (1.0 - p[(0, 1)])).abs() < 1e-5);
-        assert!((g[(0, 2)] + p[(0, 2)]).abs() < 1e-5);
-    }
-
-    #[test]
-    fn categorical_entropy_max_for_uniform() {
-        let uni = Matrix::from_vec(1, 4, vec![0.0; 4]);
-        let peaked = Matrix::from_vec(1, 4, vec![10.0, 0.0, 0.0, 0.0]);
-        let h_uni = Categorical::new(&uni).entropy();
-        let h_peaked = Categorical::new(&peaked).entropy();
-        assert!((h_uni - (4.0f32).ln()).abs() < 1e-4);
-        assert!(h_peaked < h_uni);
     }
 }

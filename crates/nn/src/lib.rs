@@ -9,11 +9,11 @@
 //! * [`gemm`] — dual-path GEMM kernels (naive reference vs. blocked tiled
 //!   fast path, bit-identical, selected by `AGSC_GEMM=ref|fast`),
 //! * [`linear::Linear`] / [`mlp::Mlp`] — fully-connected layers and networks,
-//! * [`gru::GruCell`] / [`lstm::LstmCell`] — gated recurrence for the e-Divert baseline,
-//! * [`dist::DiagGaussian`] / [`dist::Categorical`] — policy heads,
+//! * [`gru::GruCell`] — gated recurrence for the e-Divert baseline,
+//! * [`dist::DiagGaussian`] — the continuous-action policy head,
 //! * [`optim::Adam`] / [`optim::Sgd`] — optimisers,
 //! * [`flops`] — thread-local GEMM FLOP accounting (free when telemetry is off),
-//! * [`loss`] — MSE, softmax cross-entropy, entropy regulariser, Huber,
+//! * [`loss`] — MSE, softmax cross-entropy, entropy regulariser,
 //! * [`stats::RunningStat`] — Welford normalisation (MAPPO value-norm trick).
 //!
 //! Everything takes an explicit RNG so experiments are reproducible from a
@@ -30,7 +30,6 @@ pub mod gru;
 pub mod init;
 pub mod linear;
 pub mod loss;
-pub mod lstm;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
@@ -38,12 +37,11 @@ pub mod param;
 pub mod stats;
 
 pub use activation::Activation;
-pub use dist::{Categorical, DiagGaussian};
+pub use dist::DiagGaussian;
 pub use gemm::GemmKernel;
 pub use gru::GruCell;
 pub use init::Init;
 pub use linear::Linear;
-pub use lstm::{LstmCell, LstmState};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, Sgd};

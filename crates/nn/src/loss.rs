@@ -66,25 +66,6 @@ pub fn entropy_of_softmax(logits: &Matrix) -> (f32, Matrix) {
     (h, grad)
 }
 
-/// Huber (smooth-L1) loss, optionally used to robustify value regression.
-pub fn huber(pred: &Matrix, target: &Matrix, delta: f32) -> (f32, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "huber shape mismatch");
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0f32;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    for i in 0..pred.len() {
-        let d = pred.as_slice()[i] - target.as_slice()[i];
-        if d.abs() <= delta {
-            loss += 0.5 * d * d;
-            grad.as_mut_slice()[i] = d / n;
-        } else {
-            loss += delta * (d.abs() - 0.5 * delta);
-            grad.as_mut_slice()[i] = delta * d.signum() / n;
-        }
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,22 +148,5 @@ mod tests {
                 g.as_slice()[idx]
             );
         }
-    }
-
-    #[test]
-    fn huber_matches_mse_inside_delta() {
-        let pred = Matrix::from_vec(1, 1, vec![0.1]);
-        let target = Matrix::from_vec(1, 1, vec![0.0]);
-        let (h, _) = huber(&pred, &target, 1.0);
-        assert!((h - 0.5 * 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_linear_outside_delta() {
-        let pred = Matrix::from_vec(1, 1, vec![10.0]);
-        let target = Matrix::from_vec(1, 1, vec![0.0]);
-        let (h, g) = huber(&pred, &target, 1.0);
-        assert!((h - (10.0 - 0.5)).abs() < 1e-4);
-        assert!((g.as_slice()[0] - 1.0).abs() < 1e-6);
     }
 }

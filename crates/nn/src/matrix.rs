@@ -313,16 +313,6 @@ impl Matrix {
         }
     }
 
-    /// Extract a contiguous block of rows `[start, start+count)`.
-    pub fn rows_slice(&self, start: usize, count: usize) -> Matrix {
-        assert!(start + count <= self.rows, "rows_slice out of range");
-        Matrix {
-            rows: count,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + count) * self.cols].to_vec(),
-        }
-    }
-
     /// Stack matrices vertically.
     ///
     /// # Panics
@@ -346,11 +336,6 @@ impl Matrix {
             data.extend_from_slice(self.row(i));
         }
         Matrix { rows: idx.len(), cols: self.cols, data }
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 
     /// Clamp every element to `[lo, hi]`.
@@ -506,10 +491,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_slice_and_gather() {
+    fn gather_rows_follows_index_order() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let mid = a.rows_slice(1, 1);
-        assert_eq!(mid.as_slice(), &[3.0, 4.0]);
         let g = a.gather_rows(&[2, 0]);
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
     }
@@ -529,14 +512,6 @@ mod tests {
         let b = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.as_slice(), &[0.5, -1.0]);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::zeros(1, 2);
-        assert!(!a.has_non_finite());
-        a[(0, 1)] = f32::NAN;
-        assert!(a.has_non_finite());
     }
 
     #[test]

@@ -237,17 +237,6 @@ impl Mlp {
         self.layers.iter().flat_map(Linear::params).collect()
     }
 
-    /// Copy the parameter *values* of `other` into `self` (shapes must match).
-    pub fn copy_values_from(&mut self, other: &Mlp) {
-        let src = other.params();
-        let mut dst = self.params_mut();
-        assert_eq!(src.len(), dst.len(), "parameter structure mismatch");
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            assert_eq!(d.value.shape(), s.value.shape(), "parameter shape mismatch");
-            d.value = s.value.clone();
-        }
-    }
-
     /// Flatten all parameter values into one vector (used by the h-CoPO
     /// first-order meta-gradient, Eqn 32 of the paper).
     pub fn flat_values(&self) -> Vec<f32> {
@@ -401,15 +390,6 @@ mod tests {
         assert!((pre - net.grad_norm()).abs() < 1e-6, "clip above norm must not rescale");
         net.zero_grad();
         assert_eq!(net.grad_norm(), 0.0);
-    }
-
-    #[test]
-    fn copy_values_from_synchronises() {
-        let mut a = Mlp::tanh(&[3, 4, 2], &mut rng());
-        let b = Mlp::tanh(&[3, 4, 2], &mut ChaCha8Rng::seed_from_u64(99));
-        a.copy_values_from(&b);
-        let x = Matrix::from_vec(1, 3, vec![0.5, -0.5, 0.1]);
-        assert_eq!(a.forward_inference(&x), b.forward_inference(&x));
     }
 
     #[test]

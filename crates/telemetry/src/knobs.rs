@@ -157,6 +157,7 @@ mod tests {
     use super::*;
     use crate::tests::with_global;
     use crate::{install, Level, MemorySink, Value};
+    use std::num::NonZeroUsize;
     use std::sync::Arc;
 
     fn vars(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -179,6 +180,13 @@ mod tests {
         assert_eq!(parse_raw("AGSC_SEED", None, 42u64), 42);
         assert_eq!(parse_raw("AGSC_SEED", Some("  "), 42u64), 42, "empty means unset");
         assert_eq!(parse_raw("AGSC_METRICS_HEALTH_QUEUE_FRAC", Some("0.5"), 0.9f64), 0.5);
+    }
+
+    #[test]
+    fn zero_is_malformed_for_a_positive_count() {
+        let three = NonZeroUsize::new(3).unwrap();
+        assert_eq!(parse_raw("AGSC_EVAL_EPISODES", Some("0"), three), three);
+        assert_eq!(parse_raw("AGSC_EVAL_EPISODES", Some("5"), three).get(), 5);
     }
 
     #[test]

@@ -9,30 +9,9 @@
 
 use agsc::baselines::{GaConfig, RandomPolicy, ShortestPathPolicy};
 use agsc::datasets::presets;
-use agsc::env::{AirGroundEnv, EnvConfig, Metrics, UvAction};
-use agsc::madrl::{HiMadrlTrainer, Policy, TrainConfig};
+use agsc::env::{AirGroundEnv, EnvConfig, Metrics};
+use agsc::madrl::{evaluate, HiMadrlTrainer, TrainConfig};
 use agsc::telemetry as tlm;
-
-fn run_policy<P: Policy>(
-    policy: &P,
-    env: &mut AirGroundEnv,
-    episodes: usize,
-    reset: impl Fn(&P),
-) -> Metrics {
-    let mut all = Vec::new();
-    for e in 0..episodes {
-        env.reset(9000 + e as u64);
-        reset(policy);
-        while !env.is_done() {
-            let obs = env.observations();
-            let actions: Vec<UvAction> =
-                (0..env.num_uvs()).map(|k| policy.action(k, &obs[k])).collect();
-            env.step(&actions);
-        }
-        all.push(env.metrics());
-    }
-    Metrics::mean(&all)
-}
 
 fn print_row(name: &str, m: &Metrics) {
     println!(
@@ -71,15 +50,15 @@ fn main() {
         .expect("default training config must be valid");
     println!("training h/i-MADRL for {iters} iterations...");
     trainer.train(&mut env, iters);
-    let learned = run_policy(&trainer, &mut env, 3, |_| {});
+    let learned = evaluate(&trainer, &mut env, 3, 9000);
 
     // GA shortest paths.
     println!("planning GA shortest paths...");
     let sp = ShortestPathPolicy::plan(&env, &GaConfig::default(), 7);
-    let shortest = run_policy(&sp, &mut env, 3, |p| p.reset());
+    let shortest = evaluate(&sp, &mut env, 3, 9000);
 
     // Random.
-    let random = run_policy(&RandomPolicy::new(7), &mut env, 3, |_| {});
+    let random = evaluate(&RandomPolicy::new(7), &mut env, 3, 9000);
 
     println!("\nresults (3-episode averages):");
     print_row("h/i-MADRL", &learned);

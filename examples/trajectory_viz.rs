@@ -8,8 +8,8 @@
 //! ```
 
 use agsc::datasets::presets;
-use agsc::env::{render_ascii, trajectories_csv, AirGroundEnv, EnvConfig, UvAction, UvKind};
-use agsc::madrl::{HiMadrlTrainer, TrainConfig};
+use agsc::env::{render_ascii, trajectories_csv, AirGroundEnv, EnvConfig, UvKind};
+use agsc::madrl::{play_episode, HiMadrlTrainer, TrainConfig};
 
 fn main() {
     let csv_mode = std::env::args().any(|a| a == "--csv");
@@ -25,13 +25,7 @@ fn main() {
     trainer.train(&mut env, iters);
 
     // One greedy episode, recording every slot's positions.
-    env.reset(4242);
-    while !env.is_done() {
-        let obs = env.observations();
-        let actions: Vec<UvAction> =
-            (0..env.num_uvs()).map(|k| trainer.policy_action(k, &obs[k])).collect();
-        env.step(&actions);
-    }
+    let m = play_episode(&trainer, &mut env, 4242);
 
     let num_uavs = env.uv_states().iter().filter(|u| u.kind == UvKind::Uav).count();
     let trajectories = env.trajectories().to_vec();
@@ -54,7 +48,6 @@ fn main() {
     );
     println!("legend: A/B = UAV tracks, a/b = UGV tracks, . = PoI, * = drained PoI, S = start\n");
     println!("{art}");
-    let m = env.metrics();
     println!(
         "episode: psi {:.3}, sigma {:.3}, xi {:.3}, kappa {:.3}, lambda {:.3}",
         m.data_collection_ratio, m.data_loss_ratio, m.energy_ratio, m.fairness, m.efficiency
