@@ -190,11 +190,7 @@ impl<'a> ActorSet<'a> {
                 let step = env.step(&actions_env[j]);
                 rollouts[j].add_collected(&step.collection.collected_per_uv);
                 let rewards: Vec<f32> = step.rewards.iter().map(|&r| r as f32).collect();
-                let mut het = vec![Vec::new(); num_agents];
-                for &(u, g) in env.relay_pairs() {
-                    het[u].push(g);
-                    het[g].push(u);
-                }
+                let het = env.heterogeneous_neighbors();
                 let hom = env.homogeneous_neighbors(neighbor_range_m);
                 rollouts[j].push_step(
                     &all_obs[j],

@@ -195,7 +195,7 @@ impl TrainConfig {
         if !(0.0..=1.0).contains(&self.gae_lambda) {
             return Err("gae_lambda must be in [0, 1]".into());
         }
-        if self.clip_eps <= 0.0 {
+        if self.clip_eps.is_nan() || self.clip_eps <= 0.0 {
             return Err("clip_eps must be positive".into());
         }
         if self.policy_epochs == 0 {
@@ -210,6 +210,34 @@ impl TrainConfig {
         if self.num_envs == 0 {
             return Err("num_envs must be at least 1".into());
         }
+        for (name, v) in [
+            ("actor_lr", self.actor_lr),
+            ("critic_lr", self.critic_lr),
+            ("classifier_lr", self.classifier_lr),
+            ("lcf_lr", self.lcf_lr),
+            ("meta_alpha", self.meta_alpha),
+            ("entropy_coef", self.entropy_coef),
+            ("eoi_epsilon", self.eoi_epsilon),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!("{name} must be finite and non-negative, got {v}"));
+            }
+        }
+        if self.max_grad_norm.is_nan() || self.max_grad_norm <= 0.0 {
+            return Err(format!("max_grad_norm must be positive, got {}", self.max_grad_norm));
+        }
+        let (w0, w1) = match self.intrinsic {
+            IntrinsicSchedule::Constant(w) => (w, w),
+            IntrinsicSchedule::LinearDecay { from, to } => (from, to),
+        };
+        if [w0, w1].iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(format!(
+                "intrinsic weights must be finite and non-negative, got {w0}, {w1}"
+            ));
+        }
+        if !self.init_log_std.is_finite() {
+            return Err(format!("init_log_std must be finite, got {}", self.init_log_std));
+        }
         Ok(())
     }
 }
@@ -221,6 +249,93 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         assert!(TrainConfig::default().validate().is_ok());
+    }
+
+    /// Each of `bad` written into the defaults by `set` must fail
+    /// validation with a message naming `field`.
+    fn rejects(field: &str, bad: [f32; 3], set: fn(&mut TrainConfig, f32)) {
+        for v in bad {
+            let mut cfg = TrainConfig::default();
+            set(&mut cfg, v);
+            let err = cfg.validate().expect_err(&format!("{field} = {v} must be rejected"));
+            assert!(err.contains(field), "{field} = {v}: {err}");
+        }
+    }
+
+    const NOT_FINITE_OR_NEGATIVE: [f32; 3] = [f32::NAN, f32::INFINITY, -1e-3];
+
+    #[test]
+    fn rejects_bad_actor_lr() {
+        rejects("actor_lr", NOT_FINITE_OR_NEGATIVE, |c, v| c.actor_lr = v);
+    }
+
+    #[test]
+    fn rejects_bad_critic_lr() {
+        rejects("critic_lr", NOT_FINITE_OR_NEGATIVE, |c, v| c.critic_lr = v);
+    }
+
+    #[test]
+    fn rejects_bad_classifier_lr() {
+        rejects("classifier_lr", NOT_FINITE_OR_NEGATIVE, |c, v| c.classifier_lr = v);
+    }
+
+    #[test]
+    fn rejects_bad_lcf_lr() {
+        rejects("lcf_lr", NOT_FINITE_OR_NEGATIVE, |c, v| c.lcf_lr = v);
+    }
+
+    #[test]
+    fn rejects_bad_meta_alpha() {
+        rejects("meta_alpha", NOT_FINITE_OR_NEGATIVE, |c, v| c.meta_alpha = v);
+    }
+
+    #[test]
+    fn rejects_bad_entropy_coef() {
+        rejects("entropy_coef", NOT_FINITE_OR_NEGATIVE, |c, v| c.entropy_coef = v);
+    }
+
+    #[test]
+    fn rejects_bad_eoi_epsilon() {
+        rejects("eoi_epsilon", NOT_FINITE_OR_NEGATIVE, |c, v| c.eoi_epsilon = v);
+    }
+
+    #[test]
+    fn rejects_non_positive_max_grad_norm() {
+        rejects("max_grad_norm", [f32::NAN, 0.0, -1.0], |c, v| c.max_grad_norm = v);
+    }
+
+    #[test]
+    fn rejects_non_finite_init_log_std() {
+        rejects("init_log_std", [f32::NAN, f32::INFINITY, f32::NEG_INFINITY], |c, v| {
+            c.init_log_std = v
+        });
+    }
+
+    #[test]
+    fn rejects_nan_clip_eps() {
+        rejects("clip_eps", [f32::NAN, 0.0, -0.2], |c, v| c.clip_eps = v);
+    }
+
+    #[test]
+    fn rejects_bad_intrinsic_weights() {
+        rejects("intrinsic", NOT_FINITE_OR_NEGATIVE, |c, v| {
+            c.intrinsic = IntrinsicSchedule::Constant(v)
+        });
+        rejects("intrinsic", NOT_FINITE_OR_NEGATIVE, |c, v| {
+            c.intrinsic = IntrinsicSchedule::LinearDecay { from: 0.01, to: v }
+        });
+    }
+
+    #[test]
+    fn zero_rates_and_coefficients_stay_valid() {
+        let cfg = TrainConfig {
+            lcf_lr: 0.0,
+            meta_alpha: 0.0,
+            entropy_coef: 0.0,
+            eoi_epsilon: 0.0,
+            ..TrainConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -13,36 +13,13 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::trainer::IterationStats;
+use crate::trainer::{json_number, IterationStats};
 
 /// Process-wide count of recorders ever created; serialises file naming.
 static RECORDER_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Fixed (non-per-agent) CSV columns, in order.
-const FIXED_COLUMNS: &[&str] = &[
-    "iter",
-    "update_skipped",
-    "nan_events",
-    "mean_ext_reward",
-    "mean_intrinsic",
-    "classifier_loss",
-    "classifier_accuracy",
-    "approx_kl",
-    "entropy",
-    "ppo_ratio",
-    "clip_fraction",
-    "policy_grad_norm",
-    "value_loss",
-    "critic_grad_norm",
-    "explained_variance",
-    "advantage_mean",
-    "advantage_std",
-    "lambda",
-    "psi",
-    "sigma",
-    "xi",
-    "kappa",
-];
+/// Bookkeeping columns ahead of [`IterationStats::scalars`], in order.
+const LEAD_COLUMNS: [&str; 3] = ["iter", "update_skipped", "nan_events"];
 
 /// Streaming CSV + JSONL writer for per-iteration learning curves.
 #[derive(Debug)]
@@ -68,16 +45,15 @@ impl TimeSeriesRecorder {
         let mut csv = BufWriter::new(File::create(&csv_path)?);
         let jsonl = BufWriter::new(File::create(jsonl_path)?);
 
-        let mut header: Vec<String> = FIXED_COLUMNS.iter().map(|c| (*c).to_string()).collect();
+        let scalars = IterationStats::default().scalars().map(|(name, _)| name);
+        let mut header: Vec<String> =
+            LEAD_COLUMNS.into_iter().chain(scalars).map(str::to_string).collect();
         for k in 0..num_agents {
             header.push(format!("lcf_phi_deg_{k}"));
             header.push(format!("lcf_chi_deg_{k}"));
         }
-        for k in 0..num_agents {
-            header.push(format!("intrinsic_share_{k}"));
-        }
-        for k in 0..num_agents {
-            header.push(format!("collection_share_{k}"));
+        for group in ["intrinsic_share", "collection_share"] {
+            header.extend((0..num_agents).map(|k| format!("{group}_{k}")));
         }
         header.push("anomalies".to_string());
         writeln!(csv, "{}", header.join(","))?;
@@ -103,36 +79,14 @@ impl TimeSeriesRecorder {
         stats: &IterationStats,
         anomaly_count: usize,
     ) -> io::Result<()> {
-        let m = &stats.train_metrics;
-        // Ordered exactly as FIXED_COLUMNS[3..].
-        let fixed: [f64; 19] = [
-            stats.mean_ext_reward as f64,
-            stats.mean_intrinsic as f64,
-            stats.classifier_loss as f64,
-            stats.classifier_accuracy as f64,
-            stats.ppo.approx_kl as f64,
-            stats.ppo.entropy as f64,
-            stats.ppo.mean_ratio as f64,
-            stats.ppo.clip_fraction as f64,
-            stats.ppo.grad_norm as f64,
-            stats.value_loss as f64,
-            stats.critic_grad_norm as f64,
-            stats.explained_variance as f64,
-            stats.advantage_mean as f64,
-            stats.advantage_std as f64,
-            m.efficiency,
-            m.data_collection_ratio,
-            m.data_loss_ratio,
-            m.energy_ratio,
-            m.fairness,
-        ];
+        let scalars = stats.scalars();
 
         // CSV row. Non-finite values print as NaN, which both pandas and
         // the plotting helpers parse.
         let mut row = format!("{},{},{}", iter, stats.update_skipped as u8, stats.nan_events);
-        for v in fixed.iter() {
+        for (_, v) in scalars {
             row.push(',');
-            push_csv_f64(&mut row, *v);
+            push_csv_f64(&mut row, v);
         }
         for k in 0..self.num_agents {
             let (phi, chi) = stats.lcf_degrees.get(k).copied().unwrap_or((f32::NAN, f32::NAN));
@@ -141,19 +95,11 @@ impl TimeSeriesRecorder {
             row.push(',');
             push_csv_f64(&mut row, chi as f64);
         }
-        for k in 0..self.num_agents {
-            row.push(',');
-            push_csv_f64(
-                &mut row,
-                stats.intrinsic_share.get(k).copied().unwrap_or(f32::NAN) as f64,
-            );
-        }
-        for k in 0..self.num_agents {
-            row.push(',');
-            push_csv_f64(
-                &mut row,
-                stats.collection_share.get(k).copied().unwrap_or(f32::NAN) as f64,
-            );
+        for shares in [&stats.intrinsic_share, &stats.collection_share] {
+            for k in 0..self.num_agents {
+                row.push(',');
+                push_csv_f64(&mut row, shares.get(k).copied().unwrap_or(f32::NAN) as f64);
+            }
         }
         row.push(',');
         row.push_str(&anomaly_count.to_string());
@@ -165,27 +111,12 @@ impl TimeSeriesRecorder {
             "{{\"iter\":{},\"update_skipped\":{},\"nan_events\":{}",
             iter, stats.update_skipped, stats.nan_events
         );
-        for (name, v) in FIXED_COLUMNS[3..].iter().zip(fixed.iter()) {
-            js.push_str(",\"");
-            js.push_str(name);
-            js.push_str("\":");
-            push_json_f64(&mut js, *v);
+        for (name, v) in scalars {
+            js.push_str(&format!(",\"{name}\":{}", json_number(v)));
         }
-        js.push_str(",\"lcf_deg\":[");
-        for (k, &(phi, chi)) in stats.lcf_degrees.iter().enumerate() {
-            if k > 0 {
-                js.push(',');
-            }
-            js.push('[');
-            push_json_f64(&mut js, phi as f64);
-            js.push(',');
-            push_json_f64(&mut js, chi as f64);
-            js.push(']');
+        for (name, json) in stats.per_agent_json() {
+            js.push_str(&format!(",\"{name}\":{json}"));
         }
-        js.push_str("],\"intrinsic_share\":");
-        push_json_f32_array(&mut js, &stats.intrinsic_share);
-        js.push_str(",\"collection_share\":");
-        push_json_f32_array(&mut js, &stats.collection_share);
         js.push_str(&format!(",\"anomalies\":{anomaly_count}}}"));
         writeln!(self.jsonl, "{js}")?;
 
@@ -206,25 +137,6 @@ fn push_csv_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("NaN");
     }
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_json_f32_array(out: &mut String, vs: &[f32]) {
-    out.push('[');
-    for (i, &v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_f64(out, v as f64);
-    }
-    out.push(']');
 }
 
 #[cfg(test)]

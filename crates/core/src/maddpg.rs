@@ -14,7 +14,7 @@
 //!   transfer; LCFs here are configuration, not learned.
 
 use crate::config::Ablation;
-use crate::copo::Lcf;
+use crate::copo::{neighbor_range_m, Lcf};
 use crate::eoi::EoiClassifier;
 use crate::eval::Policy;
 use agsc_env::{AirGroundEnv, UvAction};
@@ -162,7 +162,7 @@ impl Maddpg {
             .ablation
             .use_eoi
             .then(|| EoiClassifier::new(obs_dim, &cfg.hidden, k, 1e-3, 0.1, &mut rng));
-        let neighbor_range = env.bounds().diagonal() * cfg.neighbor_range_frac;
+        let neighbor_range = neighbor_range_m(env.bounds().diagonal(), cfg.neighbor_range_frac);
         Self {
             agents,
             classifier,
@@ -241,11 +241,7 @@ impl Maddpg {
 
             // Plug-in h-CoPO (reward form, Eqn 22): blend in neighbour means.
             if self.cfg.ablation.use_copo {
-                let mut het = vec![Vec::new(); k];
-                for &(u, g) in env.relay_pairs() {
-                    het[u].push(g);
-                    het[g].push(u);
-                }
+                let het = env.heterogeneous_neighbors();
                 let hom = env.homogeneous_neighbors(self.neighbor_range);
                 let base = rewards.clone();
                 for a in 0..k {

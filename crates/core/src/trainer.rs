@@ -65,8 +65,8 @@ pub struct IterationStats {
     /// `true` when the NaN guard detected non-finite quantities and rolled
     /// the learnable state back to the pre-iteration snapshot.
     pub update_skipped: bool,
-    /// Number of non-finite detections this iteration (rewards, advantages,
-    /// or post-update parameters).
+    /// Non-finite detections this iteration (rewards, advantages, or
+    /// post-update parameters): 0 or 1, as the first one ends the update.
     pub nan_events: usize,
     /// Anomalies the streaming detector raised for this iteration (filled by
     /// [`HiMadrlTrainer::train`] when diagnostics are enabled; always empty
@@ -74,9 +74,67 @@ pub struct IterationStats {
     pub anomalies: Vec<crate::diagnostics::Anomaly>,
 }
 
-/// Everything the optimisers touch, captured for NaN-guard rollback.
+impl IterationStats {
+    /// The per-iteration scalars as `(name, value)` pairs: the one list the
+    /// `iteration` telemetry event and the training-curve CSV columns and
+    /// JSONL rows are written from.
+    pub fn scalars(&self) -> [(&'static str, f64); 19] {
+        let (p, m) = (&self.ppo, &self.train_metrics);
+        [
+            ("mean_ext_reward", self.mean_ext_reward as f64),
+            ("mean_intrinsic", self.mean_intrinsic as f64),
+            ("classifier_loss", self.classifier_loss as f64),
+            ("classifier_accuracy", self.classifier_accuracy as f64),
+            ("approx_kl", p.approx_kl as f64),
+            ("entropy", p.entropy as f64),
+            ("ppo_ratio", p.mean_ratio as f64),
+            ("clip_fraction", p.clip_fraction as f64),
+            ("policy_grad_norm", p.grad_norm as f64),
+            ("value_loss", self.value_loss as f64),
+            ("critic_grad_norm", self.critic_grad_norm as f64),
+            ("explained_variance", self.explained_variance as f64),
+            ("advantage_mean", self.advantage_mean as f64),
+            ("advantage_std", self.advantage_std as f64),
+            ("lambda", m.efficiency),
+            ("psi", m.data_collection_ratio),
+            ("sigma", m.data_loss_ratio),
+            ("xi", m.energy_ratio),
+            ("kappa", m.fairness),
+        ]
+    }
+
+    /// The per-agent groups as `(name, JSON array)`: `lcf_deg` as
+    /// `[[φ, χ], ...]`, then `intrinsic_share` and `collection_share`.
+    pub(crate) fn per_agent_json(&self) -> [(&'static str, String); 3] {
+        let lcf: Vec<String> =
+            self.lcf_degrees.iter().map(|&(phi, chi)| json_array(&[phi, chi])).collect();
+        [
+            ("lcf_deg", format!("[{}]", lcf.join(","))),
+            ("intrinsic_share", json_array(&self.intrinsic_share)),
+            ("collection_share", json_array(&self.collection_share)),
+        ]
+    }
+}
+
+/// `v` as a JSON number, or `null` when it is not finite.
+pub(crate) fn json_number(v: f64) -> String {
+    if v.is_finite() {
+        v.to_string()
+    } else {
+        "null".to_string()
+    }
+}
+
+/// `[x, ...]` as JSON; non-finite entries become `null`.
+fn json_array(xs: &[f32]) -> String {
+    let items: Vec<String> = xs.iter().map(|&v| json_number(v as f64)).collect();
+    format!("[{}]", items.join(","))
+}
+
+/// Everything the optimisers touch: the state one update reads and writes,
+/// and what the NaN guard rolls back.
 #[derive(Debug, Clone)]
-struct LearnableSnapshot {
+struct Learnables {
     agents: Vec<PpoAgent>,
     classifier: Option<EoiClassifier>,
     v_all: Mlp,
@@ -84,6 +142,20 @@ struct LearnableSnapshot {
     lcfs: Vec<Lcf>,
     stat_own: RunningStat,
     stat_all: RunningStat,
+}
+
+/// A non-finite value the NaN guard caught; the first one ends the update.
+#[derive(Debug)]
+struct NonFinite;
+
+/// The NaN guard's check: `Err(NonFinite)` when the guard is `on` and
+/// `finite` finds a non-finite value.
+fn guard(on: bool, finite: impl FnOnce() -> bool) -> Result<(), NonFinite> {
+    if on && !finite() {
+        Err(NonFinite)
+    } else {
+        Ok(())
+    }
 }
 
 fn all_finite(xs: &[f32]) -> bool {
@@ -97,13 +169,7 @@ pub struct HiMadrlTrainer {
     num_agents: usize,
     num_uavs: usize,
     obs_dim: usize,
-    agents: Vec<PpoAgent>,
-    classifier: Option<EoiClassifier>,
-    v_all: Mlp,
-    v_all_opt: Adam,
-    lcfs: Vec<Lcf>,
-    stat_own: RunningStat,
-    stat_all: RunningStat,
+    learn: Learnables,
     rng: ChaCha8Rng,
     iterations_done: usize,
     planned_iterations: usize,
@@ -123,9 +189,7 @@ impl HiMadrlTrainer {
         planned_iterations: usize,
         seed: u64,
     ) -> Result<Self, TrainError> {
-        if let Err(msg) = cfg.validate() {
-            return Err(TrainError::InvalidConfig(msg));
-        }
+        cfg.validate().map_err(TrainError::InvalidConfig)?;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let obs_dim = env.obs_dim();
         let state_dim = obs_dim; // state and obs share the layout (§IV-B1)
@@ -155,41 +219,21 @@ impl HiMadrlTrainer {
             num_agents,
             num_uavs,
             obs_dim,
-            agents,
-            classifier,
-            v_all,
-            v_all_opt: Adam::new(cfg.critic_lr),
-            lcfs: vec![Lcf::default(); num_agents],
-            stat_own: RunningStat::new(),
-            stat_all: RunningStat::new(),
+            learn: Learnables {
+                agents,
+                classifier,
+                v_all,
+                v_all_opt: Adam::new(cfg.critic_lr),
+                lcfs: vec![Lcf::default(); num_agents],
+                stat_own: RunningStat::new(),
+                stat_all: RunningStat::new(),
+            },
             rng,
             iterations_done: 0,
             planned_iterations: planned_iterations.max(1),
             neighbor_range,
             cfg,
         })
-    }
-
-    fn snapshot_learnables(&self) -> LearnableSnapshot {
-        LearnableSnapshot {
-            agents: self.agents.clone(),
-            classifier: self.classifier.clone(),
-            v_all: self.v_all.clone(),
-            v_all_opt: self.v_all_opt.clone(),
-            lcfs: self.lcfs.clone(),
-            stat_own: self.stat_own.clone(),
-            stat_all: self.stat_all.clone(),
-        }
-    }
-
-    fn restore_learnables(&mut self, snap: LearnableSnapshot) {
-        self.agents = snap.agents;
-        self.classifier = snap.classifier;
-        self.v_all = snap.v_all;
-        self.v_all_opt = snap.v_all_opt;
-        self.lcfs = snap.lcfs;
-        self.stat_own = snap.stat_own;
-        self.stat_all = snap.stat_all;
     }
 
     /// Training configuration.
@@ -204,7 +248,7 @@ impl HiMadrlTrainer {
 
     /// Current LCFs (per UV).
     pub fn lcfs(&self) -> &[Lcf] {
-        &self.lcfs
+        &self.learn.lcfs
     }
 
     /// Mean `(φ, χ)` in degrees over UAVs and UGVs separately — the
@@ -220,7 +264,7 @@ impl HiMadrlTrainer {
                 slice.iter().map(|l| l.degrees().1).sum::<f32>() / n,
             )
         };
-        (mean(&self.lcfs[..self.num_uavs]), mean(&self.lcfs[self.num_uavs..]))
+        (mean(&self.learn.lcfs[..self.num_uavs]), mean(&self.learn.lcfs[self.num_uavs..]))
     }
 
     fn agent_idx(&self, k: usize) -> usize {
@@ -233,7 +277,7 @@ impl HiMadrlTrainer {
 
     /// Greedy (mean) action for UV `k` — decentralised execution.
     pub fn policy_action(&self, k: usize, obs: &[f32]) -> UvAction {
-        let a = self.agents[self.agent_idx(k)].act_deterministic(obs);
+        let a = self.learn.agents[self.agent_idx(k)].act_deterministic(obs);
         UvAction { heading: a[0] as f64, speed: a[1] as f64 }
     }
 
@@ -289,8 +333,12 @@ impl HiMadrlTrainer {
     /// The actors, borrowed: what collection and the dist parameter
     /// broadcast need, without the critics or optimiser state.
     pub fn actor_set(&self) -> ActorSet<'_> {
-        let actors =
-            self.agents.iter().map(|a| ActorRef { net: a.actor(), log_std: a.log_std() }).collect();
+        let actors = self
+            .learn
+            .agents
+            .iter()
+            .map(|a| ActorRef { net: a.actor(), log_std: a.log_std() })
+            .collect();
         let shape = FleetShape {
             shared: self.cfg.shared_params,
             obs_dim: self.obs_dim,
@@ -298,51 +346,6 @@ impl HiMadrlTrainer {
             neighbor_range_m: self.neighbor_range,
         };
         ActorSet::new(actors, shape)
-    }
-
-    /// Compound rewards (Eqn 19): extrinsic plus weighted identity
-    /// probability; also returns the mean intrinsic term actually paid and
-    /// each agent's share of the total intrinsic reward.
-    ///
-    /// `identity_probs` is the classifier's prediction on every agent's
-    /// observations stacked in agent order (`T` rows per agent), so agent
-    /// `k`'s intrinsic reward at step `t` is entry `(k·T + t, k)`.
-    fn compound_rewards(
-        &self,
-        rollout: &Rollout,
-        identity_probs: Option<&Matrix>,
-    ) -> (Vec<Vec<f32>>, f32, Vec<f32>) {
-        let w = self.intrinsic_weight();
-        let t_len = rollout.len();
-        let mut per_agent = vec![0.0f32; self.num_agents];
-        let mut count = 0usize;
-        let rewards: Vec<Vec<f32>> = (0..self.num_agents)
-            .map(|k| {
-                let ext = &rollout.rewards_ext[k];
-                match (identity_probs, w > 0.0) {
-                    (Some(probs), true) => {
-                        let p = (0..t_len).map(|t| probs[(k * t_len + t, k)]);
-                        ext.iter()
-                            .zip(p)
-                            .map(|(&e, pk)| {
-                                per_agent[k] += w * pk;
-                                count += 1;
-                                e + w * pk
-                            })
-                            .collect()
-                    }
-                    _ => ext.clone(),
-                }
-            })
-            .collect();
-        let total: f32 = per_agent.iter().sum();
-        let mean_intrinsic = if count > 0 { total / count as f32 } else { 0.0 };
-        let share: Vec<f32> = if total > 0.0 {
-            per_agent.iter().map(|&s| s / total).collect()
-        } else {
-            vec![0.0; self.num_agents]
-        };
-        (rewards, mean_intrinsic, share)
     }
 
     /// Current ω_in under the schedule.
@@ -419,9 +422,10 @@ impl HiMadrlTrainer {
         stats
     }
 
-    /// The update half of one training iteration: classifier, `M1` PPO
-    /// epochs, overall value network, and `M2` LCF meta epochs, on the given
-    /// per-replica rollouts concatenated in order. Episode boundaries are
+    /// The update half of one training iteration, [`Learnables::update`] on
+    /// the given per-replica rollouts concatenated in order, and the NaN
+    /// guard's one exit: an update stopped by a non-finite value is rolled
+    /// back to the learnables as they were before it. Episode boundaries are
     /// respected everywhere advantages are estimated ([`gae_segmented`]).
     fn update_from_rollouts(
         &mut self,
@@ -429,326 +433,26 @@ impl HiMadrlTrainer {
         train_metrics: Metrics,
     ) -> IterationStats {
         let rollout = Rollout::concat(rollouts);
-        let segments = rollout.segments();
-        let t_len = rollout.len();
-
-        let obs_mats: Vec<Matrix> = (0..self.num_agents).map(|k| rollout.obs_matrix(k)).collect();
-        let act_mats: Vec<Matrix> =
-            (0..self.num_agents).map(|k| rollout.action_matrix(k)).collect();
-        let state_mat = rollout.state_matrix();
-
-        let mean_ext_reward = rollout.rewards_ext.iter().flat_map(|r| r.iter()).sum::<f32>()
-            / (self.num_agents * t_len.max(1)) as f32;
-
-        // NaN guard: snapshot everything the optimisers touch so a poisoned
-        // iteration can roll back instead of corrupting the rest of the run.
-        let snapshot = if self.cfg.nan_guard { Some(self.snapshot_learnables()) } else { None };
-        let mut nan_events = 0usize;
-        let mut update_skipped = false;
-
-        // --- Line 12: classifier update -------------------------------------
-        let (classifier_loss, classifier_accuracy, identity_probs) = match self.classifier {
-            Some(ref mut c) => {
-                let _s = tlm::span("eoi_update");
-                // Uniform per-agent sampling: concatenate everything (same
-                // count per agent by construction).
-                let all_obs = Matrix::vstack(&obs_mats.iter().collect::<Vec<_>>());
-                let labels: Vec<usize> =
-                    (0..self.num_agents).flat_map(|k| std::iter::repeat_n(k, t_len)).collect();
-                let loss = c.fit(&all_obs, &labels, CLASSIFIER_MINIBATCHES);
-                // One forward of the updated classifier serves both the
-                // accuracy and the intrinsic rewards: rows are independent.
-                let probs = c.predict(&all_obs);
-                (loss, EoiClassifier::accuracy(&probs, &labels), Some(probs))
-            }
-            None => (0.0, 0.0, None),
-        };
-
-        // --- Line 16: compound rewards (Eqn 19) ------------------------------
-        let (rewards, mean_intrinsic, intrinsic_share) =
-            self.compound_rewards(&rollout, identity_probs.as_ref());
-
-        let collection_share = rollout.collection_shares();
-        let mut final_ppo = PpoStats::default();
-        let mut value_loss = 0.0f32;
-        let mut critic_grad_norm = 0.0f32;
-        let mut explained_variance = 0.0f32;
-        let mut advantage_mean = 0.0f32;
-        let mut advantage_std = 0.0f32;
-
-        'update: {
-            if self.cfg.nan_guard && rewards.iter().any(|r| !all_finite(r)) {
-                nan_events += 1;
-                update_skipped = true;
-                break 'update;
-            }
-
-            // --- Line 13: snapshot behaviour policies for the meta step -----
-            let mut old_policies: Vec<BehaviourPolicy> =
-                if self.cfg.ablation.use_copo && self.cfg.lcf_epochs > 0 {
-                    self.agents.iter().map(PpoAgent::behaviour_policy).collect()
-                } else {
-                    Vec::new()
-                };
-
-            let cfg = &self.cfg;
-            let inputs = AgentInputs {
-                cfg,
-                obs: &obs_mats,
-                actions: &act_mats,
-                log_probs: &rollout.log_probs,
-                state: &state_mat,
-                segments: &segments,
-                // Eqn 23 reads only the rollout and the compound rewards, so
-                // the neighbourhood rewards are built once per iteration.
-                neighbor_rewards: if cfg.ablation.use_copo {
-                    (0..self.num_agents)
-                        .map(|k| {
-                            neighbor_rewards(&rollout, &rewards, k, cfg.ablation.heterogeneous)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-            };
-            // Each agent's update is independent of the others' except
-            // through `stat_own`, so agents run in parallel in one wave. A
-            // shared parameter set must see each agent's step before the
-            // next agent's, so then every agent is a wave of its own.
-            let waves =
-                shard_ranges(self.num_agents, if cfg.shared_params { self.num_agents } else { 1 });
-            let params_of =
-                |wave: &Range<usize>| if cfg.shared_params { 0..1 } else { wave.clone() };
-            // One job per parameter set in a wave.
-            let workers = resolve_workers(cfg.rollout_workers, self.agents.len());
-
-            // Cache the last computed per-agent advantage triples
-            // `[A, A_HE, A_HO]` for the meta step (they depend on critics,
-            // which keep updating).
-            let mut last_adv: Vec<[Vec<f32>; 3]> = vec![Default::default(); self.num_agents];
-
-            // --- Lines 14-20: M1 policy epochs -------------------------------
-            // Final-epoch learning-health aggregates, pooled over agents
-            // (f64 accumulators; observation-only — nothing feeds back).
-            let mut ppo_sums = [0.0f64; 5]; // ratio, clip, entropy, kl, grad
-            let mut own_loss_sum = 0.0f64;
-            let mut own_grad_sum = 0.0f64;
-            let mut adv_sums = (0.0f64, 0.0f64, 0usize); // Σa, Σa², n
-            let mut ret_sums = (0.0f64, 0.0f64); // Σret, Σret²
-            let mut res_sums = (0.0f64, 0.0f64); // Σ(ret−v), Σ(ret−v)²
-            let _ppo_span = tlm::span("ppo_epochs");
-            for epoch in 0..cfg.policy_epochs {
-                let is_final = epoch + 1 == cfg.policy_epochs;
-                for wave in &waves {
-                    let agents = &mut self.agents[params_of(wave)];
-                    // Phase A, parallel: critic values, neighbourhood GAE.
-                    let passes = scoped_map(workers, agents, |j, agent| {
-                        inputs.critic_pass(agent, wave.start + j)
-                    });
-
-                    // Phase B, serial in agent order: everything that reads
-                    // or advances the shared value-norm statistics.
-                    let mut steps = Vec::with_capacity(wave.len());
-                    for (k, pass) in wave.clone().zip(passes) {
-                        // Individual advantage (Eqn 24 generalised by GAE).
-                        let own_values = pass.own.values();
-                        let v: Vec<f32> = if cfg.value_norm {
-                            own_values.iter().map(|&x| self.stat_own.denormalize(x)).collect()
-                        } else {
-                            own_values.to_vec()
-                        };
-                        let (adv, ret) = inputs.gae(&rewards[k], &v);
-                        let [adv_he, adv_ho] = pass.neighbor_adv;
-
-                        // Cooperation-aware advantage (Eqn 27).
-                        let mut a_co: Vec<f32> = if cfg.ablation.use_copo {
-                            (0..t_len)
-                                .map(|t| self.lcfs[k].coop_advantage(adv[t], adv_he[t], adv_ho[t]))
-                                .collect()
-                        } else {
-                            adv.clone()
-                        };
-                        if cfg.nan_guard
-                            && !(all_finite(&adv)
-                                && all_finite(&adv_he)
-                                && all_finite(&adv_ho)
-                                && all_finite(&a_co))
-                        {
-                            nan_events += 1;
-                            update_skipped = true;
-                            break 'update;
-                        }
-                        if is_final {
-                            for t in 0..t_len {
-                                let a = a_co[t] as f64;
-                                adv_sums.0 += a;
-                                adv_sums.1 += a * a;
-                                adv_sums.2 += 1;
-                                let r = ret[t] as f64;
-                                let e = (ret[t] - v[t]) as f64;
-                                ret_sums.0 += r;
-                                ret_sums.1 += r * r;
-                                res_sums.0 += e;
-                                res_sums.1 += e * e;
-                            }
-                        }
-                        normalize_advantages(&mut a_co);
-
-                        // Own-critic targets (Eqn 26).
-                        let own_targets: Vec<f32> = if cfg.value_norm {
-                            self.stat_own.push_slice(&ret);
-                            ret.iter().map(|&r| self.stat_own.normalize(r)).collect()
-                        } else {
-                            ret
-                        };
-                        last_adv[k] = [adv, adv_he, adv_ho];
-                        steps.push(PolicyStep {
-                            a_co,
-                            own: (pass.own, own_targets),
-                            neighbors: pass.neighbors,
-                        });
-                    }
-
-                    // Phase C, parallel: policy and critic steps.
-                    let mut jobs: Vec<_> = agents.iter_mut().zip(steps).collect();
-                    let stats = scoped_map(workers, &mut jobs, |j, (agent, step)| {
-                        inputs.policy_step(agent, wave.start + j, step)
-                    });
-                    if is_final {
-                        for (ppo, own) in stats {
-                            ppo_sums[0] += ppo.mean_ratio as f64;
-                            ppo_sums[1] += ppo.clip_fraction as f64;
-                            ppo_sums[2] += ppo.entropy as f64;
-                            ppo_sums[3] += ppo.approx_kl as f64;
-                            ppo_sums[4] += ppo.grad_norm as f64;
-                            own_loss_sum += own.loss as f64;
-                            own_grad_sum += own.grad_norm as f64;
-                        }
-                    }
-                }
-            }
-
-            drop(_ppo_span);
-
-            // Reduce the final-epoch aggregates to fleet means.
-            let n_agents = self.num_agents as f64;
-            final_ppo = PpoStats {
-                mean_ratio: (ppo_sums[0] / n_agents) as f32,
-                clip_fraction: (ppo_sums[1] / n_agents) as f32,
-                entropy: (ppo_sums[2] / n_agents) as f32,
-                approx_kl: (ppo_sums[3] / n_agents) as f32,
-                grad_norm: (ppo_sums[4] / n_agents) as f32,
-            };
-            value_loss = (own_loss_sum / n_agents) as f32;
-            critic_grad_norm = (own_grad_sum / n_agents) as f32;
-            if adv_sums.2 > 0 {
-                let n = adv_sums.2 as f64;
-                let mean = adv_sums.0 / n;
-                advantage_mean = mean as f32;
-                advantage_std = (adv_sums.1 / n - mean * mean).max(0.0).sqrt() as f32;
-                let var = |(s, sq): (f64, f64)| (sq / n - (s / n) * (s / n)).max(0.0);
-                let var_ret = var(ret_sums);
-                explained_variance =
-                    if var_ret > 1e-12 { (1.0 - var(res_sums) / var_ret) as f32 } else { 0.0 };
-            }
-
-            // --- Line 20: overall value network on r_all ---------------------
-            let mut adv_all = {
-                let _s = tlm::span("v_all_update");
-                let r_all: Vec<f32> =
-                    (0..t_len).map(|t| (0..self.num_agents).map(|k| rewards[k][t]).sum()).collect();
-                // The training forward gives the values GAE needs and the
-                // activations the regression step below backpropagates.
-                let pred = self.v_all.forward(&state_mat);
-                let v_all_vals: Vec<f32> = if self.cfg.value_norm {
-                    pred.as_slice().iter().map(|&x| self.stat_all.denormalize(x)).collect()
-                } else {
-                    pred.as_slice().to_vec()
-                };
-                let (adv_all, ret_all) = inputs.gae(&r_all, &v_all_vals);
-                if self.cfg.nan_guard && !(all_finite(&adv_all) && all_finite(&ret_all)) {
-                    nan_events += 1;
-                    update_skipped = true;
-                    break 'update;
-                }
-                let targets: Vec<f32> = if self.cfg.value_norm {
-                    self.stat_all.push_slice(&ret_all);
-                    ret_all.iter().map(|&r| self.stat_all.normalize(r)).collect()
-                } else {
-                    ret_all
-                };
-                self.v_all.zero_grad();
-                let target = Matrix::from_vec(targets.len(), 1, targets);
-                let (_, grad) = agsc_nn::loss::mse(&pred, &target);
-                self.v_all.backward_params(&grad);
-                self.v_all.clip_grad_norm(self.cfg.max_grad_norm);
-                self.v_all_opt.step(&mut self.v_all.params_mut());
-                adv_all
-            };
-
-            // --- Lines 21-23: M2 LCF meta epochs (Eqns 30-32) ----------------
-            if cfg.ablation.use_copo && !old_policies.is_empty() {
-                let _s = tlm::span("lcf_meta_gradient");
-                normalize_advantages(&mut adv_all);
-                // No agent's meta step reads another agent's LCF, so each
-                // agent runs all its meta epochs as one job.
-                for wave in &waves {
-                    let mut jobs: Vec<_> = self.agents[params_of(wave)]
-                        .iter_mut()
-                        .zip(&mut old_policies[params_of(wave)])
-                        .zip(&mut self.lcfs[wave.clone()])
-                        .collect();
-                    scoped_map(workers, &mut jobs, |j, ((agent, old), lcf)| {
-                        let k = wave.start + j;
-                        inputs.lcf_meta_step(agent, old, lcf, k, &adv_all, &last_adv[k]);
-                    });
-                }
-            }
-
-            // Post-update sanity: a non-finite LCF or PPO statistic means the
-            // parameters themselves went bad — roll the whole iteration back.
-            if self.cfg.nan_guard {
-                let lcf_ok = self.lcfs.iter().all(|l| {
-                    let (phi, chi) = l.degrees();
-                    phi.is_finite() && chi.is_finite()
-                });
-                let ppo_ok = final_ppo.mean_ratio.is_finite()
-                    && final_ppo.clip_fraction.is_finite()
-                    && final_ppo.entropy.is_finite();
-                if !(lcf_ok && ppo_ok) {
-                    nan_events += 1;
-                    update_skipped = true;
-                    break 'update;
-                }
-            }
-        }
-
-        if update_skipped {
-            if let Some(snap) = snapshot {
-                self.restore_learnables(snap);
-            }
-        }
-
-        self.iterations_done += 1;
-        let stats = IterationStats {
-            mean_ext_reward,
-            mean_intrinsic,
-            classifier_loss,
-            classifier_accuracy,
+        let mut stats = IterationStats {
+            mean_ext_reward: rollout.rewards_ext.iter().flat_map(|r| r.iter()).sum::<f32>()
+                / (self.num_agents * rollout.len().max(1)) as f32,
+            collection_share: rollout.collection_shares(),
             train_metrics,
-            ppo: final_ppo,
-            value_loss,
-            explained_variance,
-            advantage_mean,
-            advantage_std,
-            critic_grad_norm,
-            intrinsic_share,
-            collection_share,
-            lcf_degrees: self.lcfs.iter().map(|l| l.degrees()).collect(),
-            update_skipped,
-            nan_events,
-            anomalies: Vec::new(),
+            ..IterationStats::default()
         };
+        // Snapshot everything the optimisers touch so a poisoned iteration
+        // can roll back instead of corrupting the rest of the run.
+        let snapshot = self.cfg.nan_guard.then(|| self.learn.clone());
+        let w = self.intrinsic_weight();
+        if self.learn.update(&self.cfg, &rollout, w, &mut stats).is_err() {
+            stats.update_skipped = true;
+            stats.nan_events = 1;
+            if let Some(snapshot) = snapshot {
+                self.learn = snapshot;
+            }
+        }
+        self.iterations_done += 1;
+        stats.lcf_degrees = self.learn.lcfs.iter().map(Lcf::degrees).collect();
         self.emit_iteration_telemetry(&stats);
         stats
     }
@@ -775,39 +479,21 @@ impl HiMadrlTrainer {
             });
         }
         let ((uav_phi, uav_chi), (ugv_phi, ugv_chi)) = self.mean_lcf_by_kind();
-        let m = &stats.train_metrics;
         tlm::emit_with(tlm::Level::Info, "iteration", |e| {
-            e.u64("iter", iter)
-                .f64("mean_ext_reward", stats.mean_ext_reward as f64)
-                .f64("mean_intrinsic", stats.mean_intrinsic as f64)
-                .f64("classifier_loss", stats.classifier_loss as f64)
-                .f64("classifier_accuracy", stats.classifier_accuracy as f64)
-                .f64("lambda", m.efficiency)
-                .f64("psi", m.data_collection_ratio)
-                .f64("sigma", m.data_loss_ratio)
-                .f64("xi", m.energy_ratio)
-                .f64("kappa", m.fairness)
-                .f64("ppo_ratio", stats.ppo.mean_ratio as f64)
-                .f64("clip_fraction", stats.ppo.clip_fraction as f64)
-                .f64("entropy", stats.ppo.entropy as f64)
-                .f64("approx_kl", stats.ppo.approx_kl as f64)
-                .f64("policy_grad_norm", stats.ppo.grad_norm as f64)
-                .f64("value_loss", stats.value_loss as f64)
-                .f64("critic_grad_norm", stats.critic_grad_norm as f64)
-                .f64("explained_variance", stats.explained_variance as f64)
-                .f64("advantage_mean", stats.advantage_mean as f64)
-                .f64("advantage_std", stats.advantage_std as f64)
+            let e = stats.scalars().into_iter().fold(e.u64("iter", iter), |e, (k, v)| e.f64(k, v));
+            let e = e
                 .f64("uav_phi_deg", uav_phi as f64)
                 .f64("uav_chi_deg", uav_chi as f64)
                 .f64("ugv_phi_deg", ugv_phi as f64)
-                .f64("ugv_chi_deg", ugv_chi as f64)
-                .raw_json("lcf_deg", json_pair_array(&stats.lcf_degrees))
-                .raw_json("intrinsic_share", json_f32_array(&stats.intrinsic_share))
-                .raw_json("collection_share", json_f32_array(&stats.collection_share))
+                .f64("ugv_chi_deg", ugv_chi as f64);
+            stats
+                .per_agent_json()
+                .into_iter()
+                .fold(e, |e, (k, json)| e.raw_json(k, json))
                 .u64("nan_events", stats.nan_events as u64)
                 .bool("update_skipped", stats.update_skipped)
         });
-        tlm::gauge_set("lambda", m.efficiency);
+        tlm::gauge_set("lambda", stats.train_metrics.efficiency);
         // Per-iteration training gauges: the live observability plane
         // (`/metrics`, the `Stats` frame) reads the same registry, so a
         // scrape during training shows the newest iteration's vitals.
@@ -875,15 +561,16 @@ impl HiMadrlTrainer {
 
     /// Snapshot every learnable component into a [`crate::checkpoint::Checkpoint`].
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
+        let learn = &self.learn;
         crate::checkpoint::Checkpoint {
             version: crate::checkpoint::CHECKPOINT_VERSION,
             config: self.cfg.clone(),
-            agents: self.agents.clone(),
-            classifier: self.classifier.clone(),
-            v_all: self.v_all.clone(),
-            lcfs: self.lcfs.clone(),
-            stat_own: self.stat_own.clone(),
-            stat_all: self.stat_all.clone(),
+            agents: learn.agents.clone(),
+            classifier: learn.classifier.clone(),
+            v_all: learn.v_all.clone(),
+            lcfs: learn.lcfs.clone(),
+            stat_own: learn.stat_own.clone(),
+            stat_all: learn.stat_all.clone(),
             iterations_done: self.iterations_done,
             num_agents: self.num_agents,
             num_uavs: self.num_uavs,
@@ -894,22 +581,25 @@ impl HiMadrlTrainer {
 
     /// Rebuild a trainer from a checkpoint with a fresh RNG seed.
     ///
-    /// Returns a typed [`TrainError`] on version mismatch or internal
-    /// inconsistency.
+    /// Returns a typed [`TrainError`] on version mismatch, internal
+    /// inconsistency, or a config that fails validation.
     pub fn restore(ckpt: &crate::checkpoint::Checkpoint, seed: u64) -> Result<Self, TrainError> {
         ckpt.validate()?;
+        ckpt.config.validate().map_err(TrainError::InvalidConfig)?;
         Ok(Self {
             cfg: ckpt.config.clone(),
             num_agents: ckpt.num_agents,
             num_uavs: ckpt.num_uavs,
             obs_dim: ckpt.obs_dim,
-            agents: ckpt.agents.clone(),
-            classifier: ckpt.classifier.clone(),
-            v_all: ckpt.v_all.clone(),
-            v_all_opt: Adam::new(ckpt.config.critic_lr),
-            lcfs: ckpt.lcfs.clone(),
-            stat_own: ckpt.stat_own.clone(),
-            stat_all: ckpt.stat_all.clone(),
+            learn: Learnables {
+                agents: ckpt.agents.clone(),
+                classifier: ckpt.classifier.clone(),
+                v_all: ckpt.v_all.clone(),
+                v_all_opt: Adam::new(ckpt.config.critic_lr),
+                lcfs: ckpt.lcfs.clone(),
+                stat_own: ckpt.stat_own.clone(),
+                stat_all: ckpt.stat_all.clone(),
+            },
             rng: ChaCha8Rng::seed_from_u64(seed),
             iterations_done: ckpt.iterations_done,
             planned_iterations: ckpt.iterations_done.max(1),
@@ -941,17 +631,292 @@ impl HiMadrlTrainer {
     }
 }
 
-/// Read-only inputs of one update, shared by the per-agent jobs
-/// [`HiMadrlTrainer::update_from_rollouts`] runs on worker threads.
+impl Learnables {
+    /// Algorithm 1's update (lines 12-23) on one batch of rollouts, with
+    /// intrinsic-reward weight `w`. Each phase records its diagnostics in
+    /// `stats`; the first non-finite value the NaN guard catches stops the
+    /// update part-way, for the caller to roll back.
+    fn update(
+        &mut self,
+        cfg: &TrainConfig,
+        rollout: &Rollout,
+        w: f32,
+        stats: &mut IterationStats,
+    ) -> Result<(), NonFinite> {
+        let obs: Vec<Matrix> = (0..rollout.num_agents()).map(|k| rollout.obs_matrix(k)).collect();
+        // Line 12: classifier update.
+        let identity_probs = self.eoi_update(&obs, stats);
+        // Line 16: compound rewards (Eqn 19).
+        let rewards = compound_rewards(rollout, identity_probs.as_ref(), w, stats);
+        guard(cfg.nan_guard, || rewards.iter().all(|r| all_finite(r)))?;
+        // Line 13: the behaviour policies, frozen for the meta step.
+        let old_policies: Vec<BehaviourPolicy> = if cfg.ablation.use_copo && cfg.lcf_epochs > 0 {
+            self.agents.iter().map(PpoAgent::behaviour_policy).collect()
+        } else {
+            Vec::new()
+        };
+        let inputs = AgentInputs::new(cfg, rollout, obs, rewards, self.agents.len());
+        // Lines 14-20: M1 policy epochs.
+        let last_adv = self.ppo_epochs(&inputs, stats)?;
+        // Line 20: the overall value network on r_all.
+        let adv_all = self.v_all_update(&inputs)?;
+        // Lines 21-23: M2 LCF meta epochs (Eqns 30-32).
+        if !old_policies.is_empty() {
+            self.lcf_meta_gradient(&inputs, old_policies, adv_all, last_adv);
+        }
+        // Post-update sanity: a non-finite LCF or PPO statistic means the
+        // parameters themselves went bad.
+        guard(cfg.nan_guard, || {
+            let lcf_ok = self.lcfs.iter().all(|l| {
+                let (phi, chi) = l.degrees();
+                phi.is_finite() && chi.is_finite()
+            });
+            let ppo = &stats.ppo;
+            lcf_ok
+                && ppo.mean_ratio.is_finite()
+                && ppo.clip_fraction.is_finite()
+                && ppo.entropy.is_finite()
+        })
+    }
+
+    /// Line 12: one classifier pass over every agent's observations stacked
+    /// in agent order; returns the updated classifier's identity
+    /// probabilities on them (`None` without i-EOI).
+    fn eoi_update(&mut self, obs: &[Matrix], stats: &mut IterationStats) -> Option<Matrix> {
+        let classifier = self.classifier.as_mut()?;
+        let _s = tlm::span("eoi_update");
+        // Uniform per-agent sampling: concatenate everything (same count per
+        // agent by construction).
+        let all_obs = Matrix::vstack(&obs.iter().collect::<Vec<_>>());
+        let labels: Vec<usize> =
+            obs.iter().enumerate().flat_map(|(k, o)| std::iter::repeat_n(k, o.rows())).collect();
+        stats.classifier_loss = classifier.fit(&all_obs, &labels, CLASSIFIER_MINIBATCHES);
+        // One forward of the updated classifier serves both the accuracy and
+        // the intrinsic rewards: rows are independent.
+        let probs = classifier.predict(&all_obs);
+        stats.classifier_accuracy = EoiClassifier::accuracy(&probs, &labels);
+        Some(probs)
+    }
+
+    /// Lines 14-20: `M1` policy epochs on the cooperation-aware advantages
+    /// (Eqns 27-28). Records the final epoch's fleet means in `stats` and
+    /// returns each agent's final-epoch `[A, A_HE, A_HO]` for the meta step
+    /// (they depend on critics, which keep updating).
+    fn ppo_epochs(
+        &mut self,
+        inputs: &AgentInputs,
+        stats: &mut IterationStats,
+    ) -> Result<Vec<[Vec<f32>; 3]>, NonFinite> {
+        let cfg = inputs.cfg;
+        let num_agents = inputs.obs.len();
+        let mut last_adv: Vec<[Vec<f32>; 3]> = vec![Default::default(); num_agents];
+        // Final-epoch learning-health aggregates, pooled over agents (f64
+        // accumulators; observation-only — nothing feeds back): the PPO
+        // ratio, clip fraction, entropy, KL and grad norm and the own
+        // critic's loss and grad norm; and Σa, Σa², Σret, Σret², Σ(ret−v),
+        // Σ(ret−v)² over the raw cooperation-aware advantages.
+        let mut step_sums = [0.0f64; 7];
+        let mut moments = [0.0f64; 6];
+        let span = tlm::span("ppo_epochs");
+        for epoch in 0..cfg.policy_epochs {
+            let is_final = epoch + 1 == cfg.policy_epochs;
+            for wave in &inputs.waves {
+                let agents = &mut self.agents[inputs.params_of(wave)];
+                // Phase A, parallel: critic values, neighbourhood GAE.
+                let passes = scoped_map(inputs.workers, agents, |j, agent| {
+                    inputs.critic_pass(agent, wave.start + j)
+                });
+
+                // Phase B, serial in agent order: everything that reads or
+                // advances the shared value-norm statistics.
+                let mut steps = Vec::with_capacity(wave.len());
+                for (k, pass) in wave.clone().zip(passes) {
+                    // Individual advantage (Eqn 24 generalised by GAE).
+                    let (adv, ret, v) =
+                        inputs.value_gae(&self.stat_own, &inputs.rewards[k], pass.own.values());
+                    let [adv_he, adv_ho] = pass.neighbor_adv;
+
+                    // Cooperation-aware advantage (Eqn 27).
+                    let mut a_co: Vec<f32> = if cfg.ablation.use_copo {
+                        (0..adv.len())
+                            .map(|t| self.lcfs[k].coop_advantage(adv[t], adv_he[t], adv_ho[t]))
+                            .collect()
+                    } else {
+                        adv.clone()
+                    };
+                    guard(cfg.nan_guard, || {
+                        all_finite(&adv)
+                            && all_finite(&adv_he)
+                            && all_finite(&adv_ho)
+                            && all_finite(&a_co)
+                    })?;
+                    if is_final {
+                        for t in 0..adv.len() {
+                            let (a, r, e) = (a_co[t] as f64, ret[t] as f64, (ret[t] - v[t]) as f64);
+                            for (m, x) in moments.iter_mut().zip([a, a * a, r, r * r, e, e * e]) {
+                                *m += x;
+                            }
+                        }
+                    }
+                    normalize_advantages(&mut a_co);
+
+                    // Own-critic targets (Eqn 26).
+                    let own_targets = inputs.value_targets(&mut self.stat_own, ret);
+                    last_adv[k] = [adv, adv_he, adv_ho];
+                    steps.push(PolicyStep {
+                        a_co,
+                        own: (pass.own, own_targets),
+                        neighbors: pass.neighbors,
+                    });
+                }
+
+                // Phase C, parallel: policy and critic steps.
+                let mut jobs: Vec<_> = agents.iter_mut().zip(steps).collect();
+                let step_stats = scoped_map(inputs.workers, &mut jobs, |j, (agent, step)| {
+                    inputs.policy_step(agent, wave.start + j, step)
+                });
+                if is_final {
+                    for (p, own) in step_stats {
+                        let xs = [p.mean_ratio, p.clip_fraction, p.entropy, p.approx_kl];
+                        let xs = xs.into_iter().chain([p.grad_norm, own.loss, own.grad_norm]);
+                        for (sum, x) in step_sums.iter_mut().zip(xs) {
+                            *sum += x as f64;
+                        }
+                    }
+                }
+            }
+        }
+        drop(span);
+
+        // Reduce the final-epoch aggregates to fleet means.
+        let [mean_ratio, clip_fraction, entropy, approx_kl, grad_norm, value_loss, critic_grad] =
+            step_sums.map(|sum| (sum / num_agents as f64) as f32);
+        stats.ppo = PpoStats { mean_ratio, clip_fraction, entropy, approx_kl, grad_norm };
+        stats.value_loss = value_loss;
+        stats.critic_grad_norm = critic_grad;
+        let n = (num_agents * inputs.state.rows()) as f64;
+        if n > 0.0 {
+            let [sa, sa2, sr, sr2, se, se2] = moments;
+            let var = |s: f64, sq: f64| (sq / n - (s / n) * (s / n)).max(0.0);
+            stats.advantage_mean = (sa / n) as f32;
+            stats.advantage_std = var(sa, sa2).sqrt() as f32;
+            let var_ret = var(sr, sr2);
+            stats.explained_variance =
+                if var_ret > 1e-12 { (1.0 - var(se, se2) / var_ret) as f32 } else { 0.0 };
+        }
+        Ok(last_adv)
+    }
+
+    /// Line 20: one regression step of the overall value network on the
+    /// fleet reward `r_all`; returns the overall advantage.
+    fn v_all_update(&mut self, inputs: &AgentInputs) -> Result<Vec<f32>, NonFinite> {
+        let _s = tlm::span("v_all_update");
+        let r_all: Vec<f32> =
+            (0..inputs.state.rows()).map(|t| inputs.rewards.iter().map(|r| r[t]).sum()).collect();
+        // The training forward gives the values GAE needs and the
+        // activations the regression step below backpropagates.
+        let pred = self.v_all.forward(&inputs.state);
+        let (adv_all, ret_all, _) = inputs.value_gae(&self.stat_all, &r_all, pred.as_slice());
+        guard(inputs.cfg.nan_guard, || all_finite(&adv_all) && all_finite(&ret_all))?;
+        let targets = inputs.value_targets(&mut self.stat_all, ret_all);
+        self.v_all.zero_grad();
+        let target = Matrix::from_vec(targets.len(), 1, targets);
+        let (_, grad) = agsc_nn::loss::mse(&pred, &target);
+        self.v_all.backward_params(&grad);
+        self.v_all.clip_grad_norm(inputs.cfg.max_grad_norm);
+        self.v_all_opt.step(&mut self.v_all.params_mut());
+        Ok(adv_all)
+    }
+
+    /// Lines 21-23: `M2` meta epochs on every agent's LCF (Eqns 30-32), from
+    /// the overall advantage and each agent's final-epoch advantages.
+    fn lcf_meta_gradient(
+        &mut self,
+        inputs: &AgentInputs,
+        mut old_policies: Vec<BehaviourPolicy>,
+        mut adv_all: Vec<f32>,
+        last_adv: Vec<[Vec<f32>; 3]>,
+    ) {
+        let _s = tlm::span("lcf_meta_gradient");
+        normalize_advantages(&mut adv_all);
+        // No agent's meta step reads another agent's LCF, so each agent runs
+        // all its meta epochs as one job.
+        for wave in &inputs.waves {
+            let mut jobs: Vec<_> = self.agents[inputs.params_of(wave)]
+                .iter_mut()
+                .zip(&mut old_policies[inputs.params_of(wave)])
+                .zip(&mut self.lcfs[wave.clone()])
+                .collect();
+            scoped_map(inputs.workers, &mut jobs, |j, ((agent, old), lcf)| {
+                let k = wave.start + j;
+                inputs.lcf_meta_step(agent, old, lcf, k, &adv_all, &last_adv[k]);
+            });
+        }
+    }
+}
+
+/// Line 16: compound rewards (Eqn 19), extrinsic plus `w`-weighted identity
+/// probability. Records in `stats` the mean intrinsic term actually paid
+/// and each agent's share of the total intrinsic reward.
+///
+/// `identity_probs` is the classifier's prediction on every agent's
+/// observations stacked in agent order (`T` rows per agent), so agent
+/// `k`'s intrinsic reward at step `t` is entry `(k·T + t, k)`.
+fn compound_rewards(
+    rollout: &Rollout,
+    identity_probs: Option<&Matrix>,
+    w: f32,
+    stats: &mut IterationStats,
+) -> Vec<Vec<f32>> {
+    let t_len = rollout.len();
+    let mut per_agent = vec![0.0f32; rollout.num_agents()];
+    let mut count = 0usize;
+    let rewards: Vec<Vec<f32>> = (0..rollout.num_agents())
+        .map(|k| {
+            let ext = &rollout.rewards_ext[k];
+            match (identity_probs, w > 0.0) {
+                (Some(probs), true) => {
+                    let p = (0..t_len).map(|t| probs[(k * t_len + t, k)]);
+                    ext.iter()
+                        .zip(p)
+                        .map(|(&e, pk)| {
+                            per_agent[k] += w * pk;
+                            count += 1;
+                            e + w * pk
+                        })
+                        .collect()
+                }
+                _ => ext.clone(),
+            }
+        })
+        .collect();
+    let total: f32 = per_agent.iter().sum();
+    stats.mean_intrinsic = if count > 0 { total / count as f32 } else { 0.0 };
+    stats.intrinsic_share = if total > 0.0 {
+        per_agent.iter().map(|&s| s / total).collect()
+    } else {
+        vec![0.0; per_agent.len()]
+    };
+    rewards
+}
+
+/// Read-only inputs of one update, shared by the phases of
+/// [`Learnables::update`] and the per-agent jobs they run on worker threads.
 struct AgentInputs<'a> {
     cfg: &'a TrainConfig,
-    obs: &'a [Matrix],
-    actions: &'a [Matrix],
+    obs: Vec<Matrix>,
+    actions: Vec<Matrix>,
     log_probs: &'a [Vec<f32>],
-    state: &'a Matrix,
-    segments: &'a [usize],
+    state: Matrix,
+    segments: Vec<usize>,
+    /// Per agent, the compound rewards (Eqn 19).
+    rewards: Vec<Vec<f32>>,
     /// Per agent `[r_HE, r_HO]` (Eqn 23); empty without h-CoPO.
     neighbor_rewards: Vec<[Vec<f32>; 2]>,
+    /// The agents in update order, one wave of parallel jobs each.
+    waves: Vec<Range<usize>>,
+    /// Worker threads per wave: one job per parameter set.
+    workers: usize,
 }
 
 /// One agent's critic pass (phase A of a policy epoch).
@@ -974,17 +939,91 @@ struct PolicyStep {
     neighbors: Option<[(CriticForward, Vec<f32>); 2]>,
 }
 
-impl AgentInputs<'_> {
+impl<'a> AgentInputs<'a> {
+    /// The update's inputs from the batch `rollout`, its per-agent
+    /// observation matrices `obs` and compound `rewards`, for `param_sets`
+    /// parameter sets.
+    fn new(
+        cfg: &'a TrainConfig,
+        rollout: &'a Rollout,
+        obs: Vec<Matrix>,
+        rewards: Vec<Vec<f32>>,
+        param_sets: usize,
+    ) -> Self {
+        let num_agents = rollout.num_agents();
+        // Eqn 23 reads only the rollout and the compound rewards, so the
+        // neighbourhood rewards are built once per iteration.
+        let neighbor_rewards = if cfg.ablation.use_copo {
+            (0..num_agents)
+                .map(|k| neighbor_rewards(rollout, &rewards, k, cfg.ablation.heterogeneous))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            cfg,
+            obs,
+            actions: (0..num_agents).map(|k| rollout.action_matrix(k)).collect(),
+            log_probs: &rollout.log_probs,
+            state: rollout.state_matrix(),
+            segments: rollout.segments(),
+            rewards,
+            neighbor_rewards,
+            // Each agent's update is independent of the others' except
+            // through `stat_own`, so agents run in parallel in one wave. A
+            // shared parameter set must see each agent's step before the
+            // next agent's, so then every agent is a wave of its own.
+            waves: shard_ranges(num_agents, if cfg.shared_params { num_agents } else { 1 }),
+            workers: resolve_workers(cfg.rollout_workers, param_sets),
+        }
+    }
+
+    /// The parameter sets a wave steps: its agents' own, or the shared one.
+    fn params_of(&self, wave: &Range<usize>) -> Range<usize> {
+        if self.cfg.shared_params {
+            0..1
+        } else {
+            wave.clone()
+        }
+    }
+
     fn critic_input(&self, k: usize) -> &Matrix {
         if self.cfg.centralized_critic {
-            self.state
+            &self.state
         } else {
             &self.obs[k]
         }
     }
 
     fn gae(&self, rewards: &[f32], values: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        gae_segmented(rewards, values, self.segments, 0.0, self.cfg.gamma, self.cfg.gae_lambda)
+        gae_segmented(rewards, values, &self.segments, 0.0, self.cfg.gamma, self.cfg.gae_lambda)
+    }
+
+    /// GAE on a value-normalised critic's `values`: `(advantages, returns,
+    /// values)`, with the values denormalised by `stat` first.
+    fn value_gae(
+        &self,
+        stat: &RunningStat,
+        rewards: &[f32],
+        values: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let v: Vec<f32> = if self.cfg.value_norm {
+            values.iter().map(|&x| stat.denormalize(x)).collect()
+        } else {
+            values.to_vec()
+        };
+        let (adv, ret) = self.gae(rewards, &v);
+        (adv, ret, v)
+    }
+
+    /// The critic's regression targets from the GAE returns `ret`: folded
+    /// into `stat` and normalised by it first under value normalisation.
+    fn value_targets(&self, stat: &mut RunningStat, ret: Vec<f32>) -> Vec<f32> {
+        if !self.cfg.value_norm {
+            return ret;
+        }
+        stat.push_slice(&ret);
+        ret.iter().map(|&r| stat.normalize(r)).collect()
     }
 
     /// Phase A for agent `k`: the critics' forwards, whose values give the
@@ -1130,29 +1169,6 @@ fn publish_iteration_flops((flops0, ns0): (u64, u64), secs: f64) {
         let ns = agsc_nn::flops::total_ns().saturating_sub(ns0);
         tlm::gauge_set("nn.gemm_ms", ns as f64 / 1e6);
     }
-}
-
-/// `[[phi, chi], ...]` as raw JSON; non-finite entries become `null`.
-fn json_pair_array(pairs: &[(f32, f32)]) -> String {
-    let fmt = |v: f32| {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let items: Vec<String> =
-        pairs.iter().map(|&(a, b)| format!("[{},{}]", fmt(a), fmt(b))).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// `[x, ...]` as raw JSON; non-finite entries become `null`.
-fn json_f32_array(xs: &[f32]) -> String {
-    let items: Vec<String> = xs
-        .iter()
-        .map(|&v| if v.is_finite() { format!("{v}") } else { "null".to_string() })
-        .collect();
-    format!("[{}]", items.join(","))
 }
 
 #[cfg(test)]
@@ -1320,7 +1336,7 @@ mod tests {
         let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
         // Poison the overall value network so `adv_all` goes non-finite
         // mid-iteration, after the policy networks have already stepped.
-        for p in t.v_all.params_mut() {
+        for p in t.learn.v_all.params_mut() {
             p.value.as_mut_slice().fill(f32::NAN);
         }
         let obs = vec![0.1f32; t.obs_dim()];
@@ -1339,20 +1355,32 @@ mod tests {
         assert_eq!(t.iterations_done(), 2);
     }
 
+    /// The checkpoint JSON with the iteration count zeroed: every learnable
+    /// the NaN guard must restore, and nothing else that an iteration moves.
+    fn learnables(t: &HiMadrlTrainer) -> String {
+        let mut c = t.checkpoint();
+        c.iterations_done = 0;
+        serde_json::to_string(&c).unwrap()
+    }
+
+    #[test]
+    fn invalid_config_in_a_checkpoint_is_a_typed_error() {
+        let env = small_env();
+        let mut ckpt = HiMadrlTrainer::new(&env, small_train_cfg(), 5, 3).unwrap().checkpoint();
+        ckpt.config.policy_epochs = 0;
+        let err = HiMadrlTrainer::restore(&ckpt, 3).unwrap_err();
+        assert!(matches!(err, TrainError::InvalidConfig(_)), "got {err:?}");
+    }
+
     #[test]
     fn nan_guard_skips_an_update_from_a_poisoned_classifier() {
         let mut env = small_env();
         let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
         // NaN identity probabilities must reach the reward guard instead of
         // panicking in the classifier's accuracy.
-        for p in t.classifier.as_mut().unwrap().net_mut().params_mut() {
+        for p in t.learn.classifier.as_mut().unwrap().net_mut().params_mut() {
             p.value.as_mut_slice().fill(f32::NAN);
         }
-        let learnables = |t: &HiMadrlTrainer| {
-            let mut c = t.checkpoint();
-            c.iterations_done = 0;
-            serde_json::to_string(&c).unwrap()
-        };
         let before = learnables(&t);
         let stats = t.train_iteration(&mut env);
         assert!(stats.update_skipped, "guard must flag the poisoned update");
@@ -1360,6 +1388,20 @@ mod tests {
         assert_eq!(stats.classifier_accuracy, 0.0, "NaN rows count as misses");
         assert_eq!(learnables(&t), before, "learnables must be restored on skip");
         assert_eq!(t.iterations_done(), 1);
+    }
+
+    #[test]
+    fn nan_guard_skips_an_update_from_a_poisoned_lcf() {
+        let mut env = small_env();
+        let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
+        // A NaN LCF poisons the cooperation-aware advantage (Eqn 27) that
+        // phase B of the first policy epoch checks.
+        t.learn.lcfs[0] = Lcf { phi: f32::NAN, chi: f32::NAN };
+        let before = learnables(&t);
+        let stats = t.train_iteration(&mut env);
+        assert!(stats.update_skipped, "guard must flag the poisoned update");
+        assert_eq!(stats.nan_events, 1);
+        assert_eq!(learnables(&t), before, "learnables must be restored on skip");
     }
 
     #[test]

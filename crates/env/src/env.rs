@@ -374,6 +374,17 @@ impl AirGroundEnv {
         &self.last_relay_pairs
     }
 
+    /// Heterogeneous neighbours of each UV: its relay partners in the most
+    /// recent slot — h-CoPO's `N_HE` (§V-B), per UV.
+    pub fn heterogeneous_neighbors(&self) -> Vec<Vec<usize>> {
+        let mut out = vec![Vec::new(); self.uvs.len()];
+        for &(u, g) in &self.last_relay_pairs {
+            out[u].push(g);
+            out[g].push(u);
+        }
+        out
+    }
+
     /// Homogeneous neighbours of each UV: same-kind UVs within `range`
     /// metres — h-CoPO's `N_HO` (§V-B).
     pub fn homogeneous_neighbors(&self, range: f64) -> Vec<Vec<usize>> {
