@@ -39,11 +39,6 @@ impl ExperimentWriter {
         Self { file, path }
     }
 
-    /// Stdout-only writer (tests, ad-hoc tools).
-    pub fn stdout_only() -> Self {
-        Self { file: None, path: None }
-    }
-
     /// The table file being written, if any.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
@@ -85,7 +80,7 @@ mod tests {
 
     #[test]
     fn stdout_only_writer_accepts_lines_and_has_no_path() {
-        let mut w = ExperimentWriter::stdout_only();
+        let mut w = ExperimentWriter { file: None, path: None };
         w.line("header");
         w.line(format!("row {}", 1));
         assert!(w.path().is_none());

@@ -152,7 +152,9 @@ impl<'a> ActorSet<'a> {
         for (j, env) in envs.iter_mut().enumerate() {
             env.reset(derive_env_seed(batch_seed, base_index + j));
         }
-        let mut rollouts: Vec<Rollout> = (0..n).map(|_| Rollout::new(num_agents)).collect();
+        let horizon = envs.first().map_or(0, |e| e.config().horizon);
+        let mut rollouts: Vec<Rollout> =
+            (0..n).map(|_| Rollout::with_capacity(num_agents, horizon, obs_dim)).collect();
         while envs.iter().any(|e| !e.is_done()) {
             // Replicas are clones sharing one horizon, so they finish
             // together; lockstep is what lets one GEMM serve the shard.

@@ -2,20 +2,23 @@
 //!
 //! One episode of `T` steps for `K` agents: observations, global states,
 //! actions, log-probs, extrinsic rewards, and the per-step neighbour sets
-//! needed by h-CoPO.
+//! needed by h-CoPO. Observations, states and actions are kept as the
+//! `T`-row matrices the update reads and the segment codec writes.
 
+use crate::actors::ACTION_DIM;
 use agsc_nn::Matrix;
 
 /// Everything sampled during one episode (or a concatenation of episodes
 /// from parallel replicas), laid out per agent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Rollout {
-    /// `obs[k][t]` — local observation of agent `k` at slot `t`.
-    pub obs: Vec<Vec<Vec<f32>>>,
-    /// `states[t]` — global state at slot `t` (for centralised critics).
-    pub states: Vec<Vec<f32>>,
-    /// `actions[k][t]` — the 2-D continuous action taken.
-    pub actions: Vec<Vec<[f32; 2]>>,
+    /// `obs[k]` — agent `k`'s local observations, `T × obs_dim`, row `t`
+    /// at slot `t`.
+    pub obs: Vec<Matrix>,
+    /// Global states (for centralised critics), `T × state_dim`.
+    pub states: Matrix,
+    /// `actions[k]` — the 2-D continuous actions taken, `T × 2`.
+    pub actions: Vec<Matrix>,
     /// `log_probs[k][t]` — behaviour-policy log-probability.
     pub log_probs: Vec<Vec<f32>>,
     /// `rewards_ext[k][t]` — extrinsic reward (Eqn 17).
@@ -38,14 +41,24 @@ pub struct Rollout {
 impl Rollout {
     /// Empty rollout for `k` agents.
     pub fn new(num_agents: usize) -> Self {
+        Self::with_capacity(num_agents, 0, 0)
+    }
+
+    /// Empty rollout for `k` agents with room for `steps` steps of
+    /// `obs_dim`-wide observations and states (they share the layout,
+    /// §IV-B1), so recording an episode of known length never regrows it.
+    pub fn with_capacity(num_agents: usize, steps: usize, obs_dim: usize) -> Self {
+        let rows = |cols| Matrix::from_vec(0, cols, Vec::with_capacity(steps * cols));
+        let per_agent = |cols| (0..num_agents).map(|_| rows(cols)).collect();
+        let series = || (0..num_agents).map(|_| Vec::with_capacity(steps)).collect();
         Self {
-            obs: vec![Vec::new(); num_agents],
-            states: Vec::new(),
-            actions: vec![Vec::new(); num_agents],
-            log_probs: vec![Vec::new(); num_agents],
-            rewards_ext: vec![Vec::new(); num_agents],
-            het_neighbors: Vec::new(),
-            hom_neighbors: Vec::new(),
+            obs: per_agent(obs_dim),
+            states: rows(obs_dim),
+            actions: per_agent(ACTION_DIM),
+            log_probs: series(),
+            rewards_ext: series(),
+            het_neighbors: Vec::with_capacity(steps),
+            hom_neighbors: Vec::with_capacity(steps),
             collected_per_uv: vec![0.0; num_agents],
             episode_lens: Vec::new(),
         }
@@ -64,8 +77,9 @@ impl Rollout {
 
     /// Concatenate per-replica rollouts in the given (fixed env-index)
     /// order into one batch, recording each part's length in
-    /// [`episode_lens`](Self::episode_lens). The parts' data is moved, not
-    /// copied; a single part comes back as is, with `episode_lens == [len]`.
+    /// [`episode_lens`](Self::episode_lens). The first part becomes the
+    /// result and every later part's rows are appended to it; a single
+    /// part comes back as is, with `episode_lens == [len]`.
     ///
     /// # Panics
     /// Panics if `parts` is empty or the agent counts disagree.
@@ -76,15 +90,16 @@ impl Rollout {
         let k = out.num_agents();
         for mut part in parts {
             assert_eq!(part.num_agents(), k, "agent count mismatch between rollouts");
-            out.episode_lens.push(part.len());
+            let t = part.len();
+            out.episode_lens.push(t);
             for a in 0..k {
-                out.obs[a].append(&mut part.obs[a]);
-                out.actions[a].append(&mut part.actions[a]);
+                out.obs[a].push_rows(t, part.obs[a].as_slice());
+                out.actions[a].push_rows(t, part.actions[a].as_slice());
                 out.log_probs[a].append(&mut part.log_probs[a]);
                 out.rewards_ext[a].append(&mut part.rewards_ext[a]);
                 out.collected_per_uv[a] += part.collected_per_uv[a];
             }
-            out.states.append(&mut part.states);
+            out.states.push_rows(t, part.states.as_slice());
             out.het_neighbors.append(&mut part.het_neighbors);
             out.hom_neighbors.append(&mut part.hom_neighbors);
         }
@@ -98,12 +113,12 @@ impl Rollout {
 
     /// Number of recorded steps.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.states.rows()
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.len() == 0
     }
 
     /// Record one step for all agents.
@@ -129,14 +144,40 @@ impl Rollout {
         assert_eq!(het_neighbors.len(), k, "het neighbour count mismatch");
         assert_eq!(hom_neighbors.len(), k, "hom neighbour count mismatch");
         for a in 0..k {
-            self.obs[a].push(obs[a].clone());
-            self.actions[a].push(actions[a]);
+            self.obs[a].push_rows(1, &obs[a]);
+            self.actions[a].push_rows(1, &actions[a]);
             self.log_probs[a].push(log_probs[a]);
             self.rewards_ext[a].push(rewards_ext[a]);
         }
-        self.states.push(state);
+        self.states.push_rows(1, &state);
         self.het_neighbors.push(het_neighbors);
         self.hom_neighbors.push(hom_neighbors);
+    }
+
+    /// Check that this rollout fits a fleet of `num_agents` agents with
+    /// `obs_dim`-wide observations and `state_dim`-wide states, and that
+    /// every neighbour id names one of its agents — what the update needs
+    /// to run without panicking on a rollout it did not collect itself.
+    pub fn check_shape(
+        &self,
+        num_agents: usize,
+        obs_dim: usize,
+        state_dim: usize,
+    ) -> Result<(), String> {
+        if self.num_agents() != num_agents {
+            return Err(format!("{} agents, expected {num_agents}", self.num_agents()));
+        }
+        if let Some(o) = self.obs.iter().find(|o| o.cols() != obs_dim) {
+            return Err(format!("observation width {}, expected {obs_dim}", o.cols()));
+        }
+        if self.states.cols() != state_dim {
+            return Err(format!("state width {}, expected {state_dim}", self.states.cols()));
+        }
+        let ids = self.het_neighbors.iter().chain(&self.hom_neighbors).flatten().flatten();
+        match ids.max() {
+            Some(&n) if n >= num_agents => Err(format!("neighbour id {n} of {num_agents} agents")),
+            _ => Ok(()),
+        }
     }
 
     /// Accumulate one slot's per-UV collected data volumes.
@@ -158,38 +199,6 @@ impl Rollout {
             return vec![0.0; self.num_agents()];
         }
         self.collected_per_uv.iter().map(|&c| (c / total) as f32).collect()
-    }
-
-    /// Agent `k`'s observations as a `T × obs_dim` matrix.
-    pub fn obs_matrix(&self, k: usize) -> Matrix {
-        let rows = self.obs[k].len();
-        let cols = self.obs[k].first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows * cols);
-        for o in &self.obs[k] {
-            data.extend_from_slice(o);
-        }
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    /// Global states as a `T × state_dim` matrix.
-    pub fn state_matrix(&self) -> Matrix {
-        let rows = self.states.len();
-        let cols = self.states.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(rows * cols);
-        for s in &self.states {
-            data.extend_from_slice(s);
-        }
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    /// Agent `k`'s actions as a `T × 2` matrix.
-    pub fn action_matrix(&self, k: usize) -> Matrix {
-        let rows = self.actions[k].len();
-        let mut data = Vec::with_capacity(rows * 2);
-        for a in &self.actions[k] {
-            data.extend_from_slice(a);
-        }
-        Matrix::from_vec(rows, 2, data)
     }
 
     /// Average reward of agent `k`'s neighbours per step (Eqn 23); `0.0`
@@ -249,10 +258,10 @@ mod tests {
         let r = sample_rollout();
         assert_eq!(r.len(), 3);
         assert_eq!(r.num_agents(), 2);
-        assert_eq!(r.obs_matrix(0).shape(), (3, 2));
-        assert_eq!(r.state_matrix().shape(), (3, 4));
-        assert_eq!(r.action_matrix(1).shape(), (3, 2));
-        assert_eq!(r.action_matrix(1).row(0), &[0.3, 0.4]);
+        assert_eq!(r.obs[0].shape(), (3, 2));
+        assert_eq!(r.states.shape(), (3, 4));
+        assert_eq!(r.actions[1].shape(), (3, 2));
+        assert_eq!(r.actions[1].row(0), &[0.3, 0.4]);
     }
 
     #[test]
@@ -293,11 +302,10 @@ mod tests {
         assert_eq!(joined.num_agents(), 2);
         assert_eq!(joined.episode_lens, vec![3, 3]);
         assert_eq!(joined.segments(), vec![3, 3]);
-        // Part A occupies slots 0..3, part B slots 3..6, per agent.
-        assert_eq!(&joined.obs[0][..3], &a.obs[0][..]);
-        assert_eq!(&joined.obs[0][3..], &b.obs[0][..]);
-        assert_eq!(&joined.states[..3], &a.states[..]);
-        assert_eq!(&joined.states[3..], &b.states[..]);
+        // Part A occupies rows 0..3, part B rows 3..6, per agent.
+        assert_eq!(joined.obs[0], Matrix::vstack(&[&a.obs[0], &b.obs[0]]));
+        assert_eq!(joined.actions[1], Matrix::vstack(&[&a.actions[1], &b.actions[1]]));
+        assert_eq!(joined.states, Matrix::vstack(&[&a.states, &b.states]));
         assert_eq!(&joined.log_probs[1][3..], &b.log_probs[1][..]);
         assert_eq!(&joined.het_neighbors[3..], &b.het_neighbors[..]);
         // Collected volumes sum across parts.
@@ -313,6 +321,18 @@ mod tests {
         // Modulo the recorded boundary, a singleton concat is the identity.
         joined.episode_lens.clear();
         assert_eq!(joined, a);
+    }
+
+    #[test]
+    fn check_shape_names_the_first_misfit() {
+        let r = sample_rollout();
+        assert_eq!(r.check_shape(2, 2, 4), Ok(()));
+        assert!(r.check_shape(3, 2, 4).unwrap_err().contains("2 agents"));
+        assert!(r.check_shape(2, 5, 4).unwrap_err().contains("observation width 2"));
+        assert!(r.check_shape(2, 2, 3).unwrap_err().contains("state width 4"));
+        let mut bad = r.clone();
+        bad.hom_neighbors[1][0] = vec![2];
+        assert!(bad.check_shape(2, 2, 4).unwrap_err().contains("neighbour id 2"));
     }
 
     #[test]

@@ -643,9 +643,8 @@ impl Learnables {
         w: f32,
         stats: &mut IterationStats,
     ) -> Result<(), NonFinite> {
-        let obs: Vec<Matrix> = (0..rollout.num_agents()).map(|k| rollout.obs_matrix(k)).collect();
         // Line 12: classifier update.
-        let identity_probs = self.eoi_update(&obs, stats);
+        let identity_probs = self.eoi_update(&rollout.obs, stats);
         // Line 16: compound rewards (Eqn 19).
         let rewards = compound_rewards(rollout, identity_probs.as_ref(), w, stats);
         guard(cfg.nan_guard, || rewards.iter().all(|r| all_finite(r)))?;
@@ -655,7 +654,7 @@ impl Learnables {
         } else {
             Vec::new()
         };
-        let inputs = AgentInputs::new(cfg, rollout, obs, rewards, self.agents.len());
+        let inputs = AgentInputs::new(cfg, rollout, rewards, self.agents.len());
         // Lines 14-20: M1 policy epochs.
         let last_adv = self.ppo_epochs(&inputs, stats)?;
         // Line 20: the overall value network on r_all.
@@ -815,7 +814,7 @@ impl Learnables {
             (0..inputs.state.rows()).map(|t| inputs.rewards.iter().map(|r| r[t]).sum()).collect();
         // The training forward gives the values GAE needs and the
         // activations the regression step below backpropagates.
-        let pred = self.v_all.forward(&inputs.state);
+        let pred = self.v_all.forward(inputs.state);
         let (adv_all, ret_all, _) = inputs.value_gae(&self.stat_all, &r_all, pred.as_slice());
         guard(inputs.cfg.nan_guard, || all_finite(&adv_all) && all_finite(&ret_all))?;
         let targets = inputs.value_targets(&mut self.stat_all, ret_all);
@@ -904,10 +903,10 @@ fn compound_rewards(
 /// [`Learnables::update`] and the per-agent jobs they run on worker threads.
 struct AgentInputs<'a> {
     cfg: &'a TrainConfig,
-    obs: Vec<Matrix>,
-    actions: Vec<Matrix>,
+    obs: &'a [Matrix],
+    actions: &'a [Matrix],
     log_probs: &'a [Vec<f32>],
-    state: Matrix,
+    state: &'a Matrix,
     segments: Vec<usize>,
     /// Per agent, the compound rewards (Eqn 19).
     rewards: Vec<Vec<f32>>,
@@ -940,13 +939,11 @@ struct PolicyStep {
 }
 
 impl<'a> AgentInputs<'a> {
-    /// The update's inputs from the batch `rollout`, its per-agent
-    /// observation matrices `obs` and compound `rewards`, for `param_sets`
-    /// parameter sets.
+    /// The update's inputs from the batch `rollout` and its compound
+    /// `rewards`, for `param_sets` parameter sets.
     fn new(
         cfg: &'a TrainConfig,
         rollout: &'a Rollout,
-        obs: Vec<Matrix>,
         rewards: Vec<Vec<f32>>,
         param_sets: usize,
     ) -> Self {
@@ -962,10 +959,10 @@ impl<'a> AgentInputs<'a> {
         };
         Self {
             cfg,
-            obs,
-            actions: (0..num_agents).map(|k| rollout.action_matrix(k)).collect(),
+            obs: &rollout.obs,
+            actions: &rollout.actions,
             log_probs: &rollout.log_probs,
-            state: rollout.state_matrix(),
+            state: &rollout.states,
             segments: rollout.segments(),
             rewards,
             neighbor_rewards,
@@ -989,7 +986,7 @@ impl<'a> AgentInputs<'a> {
 
     fn critic_input(&self, k: usize) -> &Matrix {
         if self.cfg.centralized_critic {
-            &self.state
+            self.state
         } else {
             &self.obs[k]
         }
@@ -1199,7 +1196,7 @@ mod tests {
         let r = t.collect_rollout(&mut env);
         assert_eq!(r.len(), 20);
         assert_eq!(r.num_agents(), 4);
-        assert_eq!(r.obs_matrix(0).cols(), env.obs_dim());
+        assert_eq!(r.obs[0].cols(), env.obs_dim());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! zero is four zero bytes. The mode byte travels with the payload, so a
 //! worker and learner configured differently still interoperate.
 
-use agsc_madrl::Rollout;
+use agsc_madrl::nn::Matrix;
+use agsc_madrl::{Rollout, ACTION_DIM};
 use agsc_serve::wire::{DecodeError, Put, Reader};
 
 use crate::error::DistError;
@@ -75,20 +76,19 @@ fn read_neighbor_sets(
 pub fn encode_rollout(rollout: &Rollout) -> Vec<u8> {
     let k = rollout.num_agents();
     let steps = rollout.len();
-    let obs_dim = rollout.obs.first().and_then(|o| o.first()).map_or(0, Vec::len);
-    let state_dim = rollout.states.first().map_or(0, Vec::len);
+    let obs_dim = rollout.obs.first().map_or(0, Matrix::cols);
+    let state_dim = rollout.states.cols();
     let mut buf = Vec::with_capacity(64 + k * steps * (obs_dim + 4) * 4);
     buf.push(CODEC_VERSION);
     for dim in [k, steps, obs_dim, state_dim] {
         buf.put_u32(dim as u32);
     }
     // Observations, states, actions, log-probs, rewards: agent-major, then
-    // step-major, as the fields are declared.
-    let obs = rollout.obs.iter().flatten().flatten();
-    let floats = obs.chain(rollout.states.iter().flatten());
-    let floats = floats.chain(rollout.actions.iter().flatten().flatten());
-    let floats = floats.chain(rollout.log_probs.iter().flatten());
-    floats.chain(rollout.rewards_ext.iter().flatten()).for_each(|&v| buf.put_f32(v));
+    // step-major, as the fields are declared — each field one slice.
+    let matrices = rollout.obs.iter().chain([&rollout.states]).chain(&rollout.actions);
+    let series = rollout.log_probs.iter().chain(&rollout.rewards_ext);
+    let fields = matrices.map(Matrix::as_slice).chain(series.map(Vec::as_slice));
+    fields.flatten().for_each(|&v| buf.put_f32(v));
     put_neighbor_sets(&mut buf, &rollout.het_neighbors);
     put_neighbor_sets(&mut buf, &rollout.hom_neighbors);
     for &c in &rollout.collected_per_uv {
@@ -113,8 +113,10 @@ pub fn decode_rollout(bytes: &[u8]) -> Result<Rollout, DistError> {
     read_rollout(bytes).map_err(|e| DistError::Codec(format!("segment {e}")))
 }
 
+/// The next `n` `f32`s, bit-exactly, in one allocation.
 fn f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, DecodeError> {
-    (0..n).map(|_| r.f32()).collect()
+    let bytes = r.take(n.saturating_mul(4))?;
+    Ok(bytes.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect())
 }
 
 fn read_rollout(bytes: &[u8]) -> Result<Rollout, DecodeError> {
@@ -134,12 +136,11 @@ fn read_rollout(bytes: &[u8]) -> Result<Rollout, DecodeError> {
     let k = r.count(k, steps.saturating_mul(agent_step).saturating_add(8), cap)?;
     let mut rollout = Rollout::new(k);
     for a in 0..k {
-        rollout.obs[a] = (0..steps).map(|_| f32s(&mut r, obs_dim)).collect::<Result<_, _>>()?;
+        rollout.obs[a] = Matrix::from_vec(steps, obs_dim, f32s(&mut r, steps * obs_dim)?);
     }
-    rollout.states = (0..steps).map(|_| f32s(&mut r, state_dim)).collect::<Result<_, _>>()?;
+    rollout.states = Matrix::from_vec(steps, state_dim, f32s(&mut r, steps * state_dim)?);
     for a in 0..k {
-        rollout.actions[a] =
-            (0..steps).map(|_| Ok([r.f32()?, r.f32()?])).collect::<Result<_, DecodeError>>()?;
+        rollout.actions[a] = Matrix::from_vec(steps, ACTION_DIM, f32s(&mut r, steps * ACTION_DIM)?);
     }
     for a in 0..k {
         rollout.log_probs[a] = f32s(&mut r, steps)?;
@@ -276,10 +277,10 @@ mod tests {
             vec![vec![]],
         );
         let decoded = decode_segment(&encode_segment(&r, Compression::Rle)).unwrap();
-        assert_eq!(decoded.obs[0][0][0].to_bits(), (-0.0f32).to_bits());
-        assert_eq!(decoded.obs[0][0][1].to_bits(), f32::NAN.to_bits());
+        assert_eq!(decoded.obs[0][(0, 0)].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(decoded.obs[0][(0, 1)].to_bits(), f32::NAN.to_bits());
         assert_eq!(decoded.log_probs[0][0].to_bits(), f32::NAN.to_bits());
-        assert_eq!(decoded.actions[0][0][1].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(decoded.actions[0][(0, 1)].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub enum DistError {
         missing: Vec<u32>,
     },
     /// The worker's environment produced observations whose shape does not
-    /// match the broadcast parameters — a misconfigured fleet, not a
+    /// match the broadcast parameters, or a submitted segment does not fit
+    /// the learner's fleet — a misconfigured or faulty worker, not a
     /// transient.
     ShapeMismatch(String),
 }

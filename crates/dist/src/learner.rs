@@ -122,6 +122,8 @@ struct Shared {
     cv: Condvar,
     cap: usize,
     chunk: usize,
+    /// The trainer's `(num_agents, obs_dim)`, which every segment must fit.
+    fleet: (usize, usize),
 }
 
 /// The learner half of distributed training. Owns the trainer; handler
@@ -161,6 +163,7 @@ impl Learner {
             cv: Condvar::new(),
             cap: cfg.max_frame_bytes,
             chunk: cfg.chunk,
+            fleet: (trainer.num_agents(), trainer.obs_dim()),
         });
         let handlers = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
@@ -415,6 +418,13 @@ fn run_assignment(
         }
         let bytes = segment.len() as u64;
         let rollout = decode_segment(&segment)?;
+        // A segment the update cannot take is refused before the Ack, so
+        // the caller requeues its shard. States share the observation
+        // layout (§IV-B1).
+        let (num_agents, obs_dim) = shared.fleet;
+        rollout.check_shape(num_agents, obs_dim, obs_dim).map_err(|e| {
+            DistError::ShapeMismatch(format!("segment ({generation}, {env_index}): {e}"))
+        })?;
         write_learner_msg(stream, &LearnerMsg::Ack { generation, env_index }, shared.cap)?;
         let mut st = shared.state.lock().expect("dist state poisoned");
         if st.generation == generation {

@@ -99,16 +99,6 @@ impl EnvConfig {
         self.num_uavs + self.num_ugvs
     }
 
-    /// Max distance a UAV covers in one slot.
-    pub fn uav_move_budget(&self) -> f64 {
-        self.move_secs * self.uav_max_speed
-    }
-
-    /// Max roadmap distance a UGV covers in one slot.
-    pub fn ugv_move_budget(&self) -> f64 {
-        self.move_secs * self.ugv_max_speed
-    }
-
     /// Validate parameters; returns an error string on failure.
     pub fn validate(&self) -> Result<(), String> {
         if self.horizon == 0 {
@@ -160,13 +150,6 @@ mod tests {
         assert_eq!(c.uav_height, 60.0);
         assert_eq!(c.channel.subchannels, 3);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn move_budgets() {
-        let c = EnvConfig::default();
-        assert_eq!(c.uav_move_budget(), 180.0);
-        assert_eq!(c.ugv_move_budget(), 100.0);
     }
 
     #[test]

@@ -212,23 +212,18 @@ impl AirGroundEnv {
         global_state(&self.cfg, &self.bounds, &self.uvs, &self.poi_pos, &self.poi_remaining)
     }
 
-    /// Local observation `o^k_t` for each UV.
+    /// Local observation `o^k_t` for each UV, each masked from one copy of
+    /// the global state.
     ///
     /// Under fault injection, a dead UV's observation is fully dark, dead
     /// UVs are zero-masked out of every survivor's observation, and sensor
     /// noise/dropout faults are applied last. With faults off the fault
     /// layer is bypassed entirely.
     pub fn observations(&self) -> Vec<Vec<f32>> {
+        let state = self.global_state();
         (0..self.uvs.len())
             .map(|k| {
-                let mut o = local_observation(
-                    &self.cfg,
-                    &self.bounds,
-                    &self.uvs,
-                    &self.poi_pos,
-                    &self.poi_remaining,
-                    k,
-                );
+                let mut o = local_observation(&self.cfg, &state, &self.uvs, &self.poi_pos, k);
                 if self.injector.is_active() {
                     if !self.alive[k] {
                         o.fill(0.0);
@@ -712,6 +707,37 @@ mod tests {
             assert_eq!(ra.rewards, rb.rewards);
         }
         assert_eq!(a.global_state(), b.global_state());
+    }
+
+    #[test]
+    fn observations_are_the_global_state_masked_to_each_uvs_range() {
+        let mut env = small_env();
+        let actions: Vec<UvAction> = (0..env.num_uvs())
+            .map(|k| UvAction { heading: 0.3 * k as f64 - 0.5, speed: 1.0 })
+            .collect();
+        for _ in 0..4 {
+            env.step(&actions);
+        }
+        let (state, obs) = (env.global_state(), env.observations());
+        let range = env.config().obs_range;
+        let uvs = env.uv_states();
+        let entities: Vec<Point> =
+            uvs.iter().map(|u| u.position).chain(env.poi_positions().iter().copied()).collect();
+        let (mut seen, mut blanked) = (0, 0);
+        for (k, o) in obs.iter().enumerate() {
+            let me = uvs[k].position;
+            for (e, p) in entities.iter().enumerate() {
+                let (got, want) = (&o[3 * e..3 * e + 3], &state[3 * e..3 * e + 3]);
+                if e == k || me.dist(p) <= range {
+                    assert_eq!(got, want, "UV {k} must see entity {e} as the state has it");
+                    seen += 1;
+                } else {
+                    assert_eq!(got, &[0.0; 3], "UV {k} must not see entity {e}");
+                    blanked += 1;
+                }
+            }
+        }
+        assert!(seen > env.num_uvs() && blanked > 0, "both branches exercised");
     }
 
     #[test]

@@ -15,7 +15,6 @@ pub mod error;
 pub mod faults;
 pub mod metrics;
 pub mod obs;
-pub mod recorder;
 pub mod render;
 pub mod shard;
 pub mod types;
@@ -30,7 +29,6 @@ pub use error::EnvError;
 pub use faults::{FaultConfig, FaultInjector, FaultPlan};
 pub use metrics::{MetricInputs, Metrics};
 pub use obs::{global_state, local_observation, obs_dim};
-pub use recorder::{EpisodeRecorder, SlotRecord};
 pub use render::{render_ascii, trajectories_csv};
 pub use shard::{shard_owner, shard_ranges, shard_size};
 pub use types::{UvAction, UvKind, UvState};

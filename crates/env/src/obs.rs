@@ -36,31 +36,27 @@ pub fn global_state(
     s
 }
 
-/// Build UV `k`'s local observation: the global state with out-of-range
-/// entities zeroed. A UV always observes itself.
+/// UV `k`'s local observation: a copy of the unmasked global `state` (as
+/// [`global_state`] builds it) with out-of-range entities zeroed. A UV
+/// always observes itself.
+///
+/// # Panics
+/// Panics if `state` is not [`obs_dim`] long for `uvs` and `poi_pos`.
 pub fn local_observation(
     cfg: &EnvConfig,
-    bounds: &Aabb,
+    state: &[f32],
     uvs: &[UvState],
     poi_pos: &[Point],
-    poi_remaining: &[f64],
     k: usize,
 ) -> Vec<f32> {
-    let mut s = global_state(cfg, bounds, uvs, poi_pos, poi_remaining);
+    assert_eq!(state.len(), obs_dim(uvs.len(), poi_pos.len()), "state does not fit the world");
+    let mut s = state.to_vec();
     let me = &uvs[k].position;
-    for (j, uv) in uvs.iter().enumerate() {
-        if j != k && me.dist(&uv.position) > cfg.obs_range {
-            s[3 * j] = 0.0;
-            s[3 * j + 1] = 0.0;
-            s[3 * j + 2] = 0.0;
-        }
-    }
-    let base = 3 * uvs.len();
-    for (i, p) in poi_pos.iter().enumerate() {
-        if me.dist(p) > cfg.obs_range {
-            s[base + 3 * i] = 0.0;
-            s[base + 3 * i + 1] = 0.0;
-            s[base + 3 * i + 2] = 0.0;
+    let far = uvs.iter().enumerate().map(|(j, uv)| j != k && me.dist(&uv.position) > cfg.obs_range);
+    let far = far.chain(poi_pos.iter().map(|p| me.dist(p) > cfg.obs_range));
+    for (entity, far) in s.chunks_exact_mut(3).zip(far) {
+        if far {
+            entity.fill(0.0);
         }
     }
     s
@@ -98,7 +94,7 @@ mod tests {
         let (cfg, bounds, uvs, pois, rem) = setup();
         let s = global_state(&cfg, &bounds, &uvs, &pois, &rem);
         assert_eq!(s.len(), obs_dim(2, 2));
-        let o = local_observation(&cfg, &bounds, &uvs, &pois, &rem, 0);
+        let o = local_observation(&cfg, &s, &uvs, &pois, 0);
         assert_eq!(o.len(), s.len(), "obs has the identical size as the state (§IV-B1)");
     }
 
@@ -117,7 +113,8 @@ mod tests {
     #[test]
     fn masking_blanks_far_entities() {
         let (cfg, bounds, uvs, pois, rem) = setup();
-        let o0 = local_observation(&cfg, &bounds, &uvs, &pois, &rem, 0);
+        let s = global_state(&cfg, &bounds, &uvs, &pois, &rem);
+        let o0 = local_observation(&cfg, &s, &uvs, &pois, 0);
         // UV 1 (at 900,900) is far from UV 0: masked.
         assert_eq!(&o0[3..6], &[0.0, 0.0, 0.0]);
         // PoI 0 is 50 m away: visible.
@@ -129,15 +126,17 @@ mod tests {
     #[test]
     fn self_always_visible() {
         let (cfg, bounds, uvs, pois, rem) = setup();
-        let o1 = local_observation(&cfg, &bounds, &uvs, &pois, &rem, 1);
+        let s = global_state(&cfg, &bounds, &uvs, &pois, &rem);
+        let o1 = local_observation(&cfg, &s, &uvs, &pois, 1);
         assert!(o1[3] > 0.0 && o1[4] > 0.0, "a UV must observe itself");
     }
 
     #[test]
     fn different_uvs_get_different_observations() {
         let (cfg, bounds, uvs, pois, rem) = setup();
-        let o0 = local_observation(&cfg, &bounds, &uvs, &pois, &rem, 0);
-        let o1 = local_observation(&cfg, &bounds, &uvs, &pois, &rem, 1);
+        let s = global_state(&cfg, &bounds, &uvs, &pois, &rem);
+        let o0 = local_observation(&cfg, &s, &uvs, &pois, 0);
+        let o1 = local_observation(&cfg, &s, &uvs, &pois, 1);
         assert_ne!(o0, o1, "partial observability must differentiate agents (i-EOI premise)");
     }
 }

@@ -99,13 +99,6 @@ impl VecEnv {
         &self.envs[i]
     }
 
-    /// Reset every replica with its [`derive_env_seed`] of `batch_seed`.
-    pub fn reset_derived(&mut self, batch_seed: u64) {
-        for (i, env) in self.envs.iter_mut().enumerate() {
-            env.reset(derive_env_seed(batch_seed, i));
-        }
-    }
-
     /// Per-replica task metrics (ψ σ ξ κ λ), in fixed index order.
     pub fn metrics(&self) -> Vec<Metrics> {
         self.envs.iter().map(AirGroundEnv::metrics).collect()
@@ -148,7 +141,9 @@ mod tests {
     fn replicas_are_independent_after_derived_reset() {
         let mut v = VecEnv::new(&proto(), 3);
         assert_eq!(v.len(), 3);
-        v.reset_derived(0x5EED);
+        for (i, env) in v.envs_mut().iter_mut().enumerate() {
+            env.reset(derive_env_seed(0x5EED, i));
+        }
         // Replica 0 re-run standalone with its derived seed must match the
         // in-batch replica exactly.
         let mut solo = proto();
@@ -160,7 +155,9 @@ mod tests {
     #[test]
     fn metrics_reports_one_row_per_replica() {
         let mut v = VecEnv::new(&proto(), 2);
-        v.reset_derived(9);
+        for (i, env) in v.envs_mut().iter_mut().enumerate() {
+            env.reset(derive_env_seed(9, i));
+        }
         assert_eq!(v.metrics().len(), 2);
     }
 

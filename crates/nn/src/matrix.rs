@@ -13,8 +13,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-/// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// A dense row-major matrix of `f32`; the default is `0 × 0`.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -329,6 +329,20 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// Append `rows` rows, given row-major in `data`, below the last row.
+    /// A matrix with no rows takes its width from `data`.
+    ///
+    /// # Panics
+    /// Panics if `data` is not `rows` rows of the matrix's width.
+    pub fn push_rows(&mut self, rows: usize, data: &[f32]) {
+        if self.rows == 0 && rows > 0 {
+            self.cols = data.len() / rows;
+        }
+        assert_eq!(data.len(), rows * self.cols, "push_rows: ragged rows");
+        self.data.extend_from_slice(data);
+        self.rows += rows;
+    }
+
     /// Gather selected rows into a new matrix.
     pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
         let mut data = Vec::with_capacity(idx.len() * self.cols);
@@ -504,6 +518,26 @@ mod tests {
         let s = Matrix::vstack(&[&a, &b]);
         assert_eq!(s.shape(), (3, 2));
         assert_eq!(s.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    fn push_rows_grows_in_place_and_an_empty_matrix_adopts_the_width() {
+        let mut m = Matrix::default();
+        m.push_rows(1, &[1.0, 2.0]);
+        m.push_rows(2, &[3.0, 4.0, 5.0, 6.0]);
+        m.push_rows(0, &[]);
+        assert_eq!(m, Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        // Zero-width rows still count.
+        let mut z = Matrix::default();
+        z.push_rows(2, &[]);
+        assert_eq!(z.shape(), (2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "push_rows")]
+    fn push_rows_rejects_a_ragged_row() {
+        let mut m = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
+        m.push_rows(1, &[3.0]);
     }
 
     #[test]

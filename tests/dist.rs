@@ -11,14 +11,16 @@
 //! Workers here are threads speaking real TCP to a real learner socket —
 //! the same loop `dist_worker` runs as a separate process.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use agsc::datasets::presets;
 use agsc::env::{AirGroundEnv, EnvConfig, VecEnv};
-use agsc::madrl::IterationStats;
+use agsc::madrl::{IterationStats, Rollout};
+use agsc_dist::proto::{read_learner_msg, write_worker_msg};
 use agsc_dist::{
-    run_worker, setup, Compression, DistError, Learner, LearnerConfig, WorkerConfig, WorkerExit,
+    encode_segment, run_worker, setup, Compression, DistError, Learner, LearnerConfig, LearnerMsg,
+    WorkerConfig, WorkerExit, WorkerMsg, PROTOCOL_VERSION,
 };
 use agsc_serve::RetryPolicy;
 
@@ -249,4 +251,73 @@ fn fleet_size_mismatch_fails_the_worker_typed_not_panicked() {
     }
     assert!(matches!(generation, Err(DistError::GenerationStalled { .. })), "{generation:?}");
     learner.shutdown();
+}
+
+/// A two-step segment for `k` agents with `obs_dim`-wide observations
+/// and states, whose agent 0 names `neighbor` as a relay partner.
+fn segment(k: usize, obs_dim: usize, neighbor: usize) -> Vec<u8> {
+    let mut r = Rollout::new(k);
+    for _ in 0..2 {
+        let mut het = vec![vec![]; k];
+        het[0].push(neighbor);
+        r.push_step(
+            &vec![vec![0.5; obs_dim]; k],
+            vec![0.5; obs_dim],
+            &vec![[0.0, 0.0]; k],
+            &vec![-1.0; k],
+            &vec![0.0; k],
+            het,
+            vec![vec![]; k],
+        );
+    }
+    encode_segment(&r, Compression::Rle)
+}
+
+/// A hand-written worker that submits one malformed segment for the first
+/// shard it is given, then checks that the learner hangs up without an Ack.
+fn submit_malformed(addr: SocketAddr, malform: fn(usize, usize) -> Vec<u8>) {
+    let cap = 64 << 20;
+    let mut s = TcpStream::connect(addr).unwrap();
+    write_worker_msg(&mut s, &WorkerMsg::Hello { version: PROTOCOL_VERSION, worker_id: 99 }, cap)
+        .unwrap();
+    assert!(matches!(read_learner_msg(&mut s, cap).unwrap(), Some(LearnerMsg::HelloOk { .. })));
+    let Some(LearnerMsg::Params { generation, policy }) = read_learner_msg(&mut s, cap).unwrap()
+    else {
+        panic!("expected Params");
+    };
+    let Some(LearnerMsg::Work { indices, .. }) = read_learner_msg(&mut s, cap).unwrap() else {
+        panic!("expected Work");
+    };
+    let metrics = setup::quickstart_env(SEED).metrics();
+    let segment = malform(policy.num_agents(), policy.obs_dim());
+    let submit = WorkerMsg::SubmitSegment { generation, env_index: indices[0], metrics, segment };
+    write_worker_msg(&mut s, &submit, cap).unwrap();
+    // Refused: the learner drops the connection instead of acking.
+    assert!(!matches!(read_learner_msg(&mut s, cap), Ok(Some(LearnerMsg::Ack { .. }))));
+}
+
+#[test]
+fn malformed_segments_are_refused_and_their_shards_reassigned() {
+    let (ref_stats, ref_json) = reference_run();
+    let env = setup::quickstart_env(SEED);
+    let trainer = setup::quickstart_trainer(&env, GENS, SEED).unwrap();
+    let mut learner =
+        Learner::start("127.0.0.1:0".parse().unwrap(), trainer, learner_cfg()).unwrap();
+    let addr = learner.addr();
+    // One faulty worker at a time takes the opening assignment; only then
+    // does an honest worker join to collect everything.
+    let fleet = std::thread::spawn(move || {
+        submit_malformed(addr, |k, obs_dim| segment(k - 1, obs_dim, 0)); // agent count
+        submit_malformed(addr, |k, obs_dim| segment(k, obs_dim, k)); // neighbour id
+        submit_malformed(addr, |k, obs_dim| segment(k, obs_dim + 1, 0)); // observation width
+        run_worker(&setup::quickstart_env(SEED), &worker_cfg(addr, 1))
+    });
+    let stats = learner.train(GENS).expect("the learner must survive malformed segments");
+    let trainer = learner.shutdown();
+    assert_eq!(fleet.join().expect("no panic").unwrap(), WorkerExit::Finished);
+    for (i, (a, b)) in stats.iter().zip(&ref_stats).enumerate() {
+        assert_stats_bitwise(a, b, &format!("after malformed segments, gen {i}"));
+    }
+    let json = serde_json::to_string(&trainer.checkpoint()).unwrap();
+    assert_eq!(json, ref_json, "refused segments must not change the learned parameters");
 }
