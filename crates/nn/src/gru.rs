@@ -13,7 +13,7 @@
 //! h' = (1 − z) ⊙ n + z ⊙ h
 //! ```
 
-use crate::activation::sigmoid;
+use crate::activation::{sigmoid, tanh, Activation};
 use crate::init::Init;
 use crate::matrix::Matrix;
 use crate::param::Param;
@@ -124,7 +124,7 @@ impl GruCell {
         let rh = r.hadamard(h_prev);
         let n = (&x.matmul(&self.wxn.value) + &rh.matmul(&self.whn.value))
             .add_row_broadcast(self.bn.value.row(0))
-            .map(f32::tanh);
+            .map(tanh);
         // h' = (1 - z) ⊙ n + z ⊙ h_prev
         let mut h = Matrix::zeros(x.rows(), self.hidden_dim);
         for i in 0..h.len() {
@@ -161,23 +161,23 @@ impl GruCell {
 
             // h = (1-z)⊙n + z⊙h_prev
             let h_minus_n = &cache.h_prev - &cache.n;
-            let dz = gh.hadamard(&h_minus_n);
+            let mut daz = gh.hadamard(&h_minus_n);
             let one_minus_z = cache.z.map(|v| 1.0 - v);
-            let dn = gh.hadamard(&one_minus_z);
+            let mut dan = gh.hadamard(&one_minus_z);
             let mut dh_prev = gh.hadamard(&cache.z);
 
             // n = tanh(a_n)
-            let dan = dn.hadamard(&cache.n.map(|v| 1.0 - v * v));
+            Activation::Tanh.backward_from_output(&mut dan, &cache.n);
             self.wxn.grad.add_scaled(&cache.x.t_matmul(&dan), 1.0);
             self.whn.grad.add_scaled(&cache.rh.t_matmul(&dan), 1.0);
             add_bias_grad(&mut self.bn, &dan);
             let mut dx = dan.matmul_t(&self.wxn.value);
             let drh = dan.matmul_t(&self.whn.value);
-            let dr = drh.hadamard(&cache.h_prev);
+            let mut dar = drh.hadamard(&cache.h_prev);
             dh_prev += &drh.hadamard(&cache.r);
 
             // r = σ(a_r)
-            let dar = dr.hadamard(&cache.r.map(|v| v * (1.0 - v)));
+            Activation::Sigmoid.backward_from_output(&mut dar, &cache.r);
             self.wxr.grad.add_scaled(&cache.x.t_matmul(&dar), 1.0);
             self.whr.grad.add_scaled(&cache.h_prev.t_matmul(&dar), 1.0);
             add_bias_grad(&mut self.br, &dar);
@@ -185,7 +185,7 @@ impl GruCell {
             dh_prev += &dar.matmul_t(&self.whr.value);
 
             // z = σ(a_z)
-            let daz = dz.hadamard(&cache.z.map(|v| v * (1.0 - v)));
+            Activation::Sigmoid.backward_from_output(&mut daz, &cache.z);
             self.wxz.grad.add_scaled(&cache.x.t_matmul(&daz), 1.0);
             self.whz.grad.add_scaled(&cache.h_prev.t_matmul(&daz), 1.0);
             add_bias_grad(&mut self.bz, &daz);

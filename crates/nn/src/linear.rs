@@ -76,9 +76,7 @@ impl Linear {
         let mut z = x.matmul(&self.w.value);
         let bias = self.b.value.row(0);
         for r in 0..z.rows() {
-            for (v, &bv) in z.row_mut(r).iter_mut().zip(bias.iter()) {
-                *v = act.apply(*v + bv);
-            }
+            act.bias_act(z.row_mut(r), bias);
         }
         z
     }

@@ -206,18 +206,17 @@ impl Mlp {
     fn backward_layers(&mut self, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
         assert_eq!(self.act_cache.len(), self.layers.len(), "Mlp::backward called before forward");
         let n = self.layers.len();
-        let mut g: Option<Matrix> = None;
+        let mut g = grad_out.clone();
         for i in (0..n).rev() {
             let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            let d_act = act.derivative_from_output(&self.act_cache[i]);
-            let gz = g.as_ref().unwrap_or(grad_out).hadamard(&d_act);
+            act.backward_from_output(&mut g, &self.act_cache[i]);
             if i == 0 && !input_grad {
-                self.layers[0].backward_params(&gz);
+                self.layers[0].backward_params(&g);
                 return None;
             }
-            g = Some(self.layers[i].backward(&gz));
+            g = self.layers[i].backward(&g);
         }
-        g
+        Some(g)
     }
 
     /// Zero all accumulated gradients.

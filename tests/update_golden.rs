@@ -53,14 +53,14 @@ fn base() -> TrainConfig {
 
 #[test]
 fn default_config_keeps_its_bits() {
-    assert_eq!(checkpoint_digest(base()), 0x67e8_81ec_4bd9_a880);
+    assert_eq!(checkpoint_digest(base()), 0xe14b_9377_f9ce_6e86);
 }
 
 #[test]
 fn shared_params_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { shared_params: true, ..base() }),
-        0x5390_d334_450e_7ad6
+        0xb8e6_8a3f_3b7b_8020
     );
 }
 
@@ -68,33 +68,33 @@ fn shared_params_keeps_its_bits() {
 fn centralized_critic_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { centralized_critic: true, ..base() }),
-        0x639a_4910_9aed_4484
+        0x8fb8_6d0d_2bd4_a71a
     );
 }
 
 #[test]
 fn copo_baseline_keeps_its_bits() {
     let ablation = Ablation { heterogeneous: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xba88_b1a6_f5e9_277f);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x11af_f044_45ef_2105);
 }
 
 #[test]
 fn without_copo_keeps_its_bits() {
     let ablation = Ablation { use_copo: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0x022f_a147_4c0d_5aab);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xebcb_65bb_b9f7_3b3e);
 }
 
 #[test]
 fn without_eoi_keeps_its_bits() {
     let ablation = Ablation { use_eoi: false, ..Ablation::full() };
-    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xeb43_a400_0138_f4b5);
+    assert_eq!(checkpoint_digest(TrainConfig { ablation, ..base() }), 0xc433_8386_8107_af1f);
 }
 
 #[test]
 fn without_value_norm_keeps_its_bits() {
     assert_eq!(
         checkpoint_digest(TrainConfig { value_norm: false, ..base() }),
-        0xa62c_be1f_1e6f_34f9
+        0xa7a4_f8ec_aaf8_ac2f
     );
 }
 
@@ -127,7 +127,7 @@ fn maddpg_keeps_its_bits() {
         ..MaddpgConfig::default()
     };
     let digest = learner_digest(Maddpg::new(&env(), cfg, 7), Maddpg::train_iteration);
-    assert_eq!(digest, 0x0c7c_49cd_f981_afb1);
+    assert_eq!(digest, 0x7c01_8127_3dd9_bc82);
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn e_divert_keeps_its_bits() {
         ..EDivertConfig::default()
     };
     let digest = learner_digest(EDivert::new(&env(), cfg, 7), EDivert::train_iteration);
-    assert_eq!(digest, 0x656c_26a6_3990_20cd);
+    assert_eq!(digest, 0xf641_ec11_9040_54ed);
 }
 
 fn random_matrix(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Matrix {
