@@ -581,18 +581,21 @@ pub fn abl_access(h: &HarnessConfig) {
 // GEMM microbench — sustained GFLOP/s over the policy network's layer shapes
 // ---------------------------------------------------------------------------
 
-/// Measure sustained dense-GEMM throughput over the (batch × out × in)
-/// shapes the h/i-MADRL policy network actually runs — observation width
-/// into the default hidden stack into the 2-d action head — at batch sizes
-/// 1/16/64/256, for all three products a training step issues (forward
-/// `x·W`, weight gradient `xᵀ·dY`, input gradient `dY·Wᵀ`) under **both**
-/// GEMM kernels. GFLOP/s comes from the algorithmic count 2·m·n·k (the
-/// same formula [`agsc_nn::flops`] charges), so the figure is comparable
-/// whether or not telemetry is enabled. Each (shape, product, kernel)
-/// cell lands in `BENCH_results.json` (and the trend ledger) with its
-/// `gflops`, labelled `ref` or `fast` so the speedup is directly readable
-/// from the results file and `bench trend` guards each kernel path as its
-/// own series.
+/// Measure sustained GEMM throughput over the (batch × out × in) shapes
+/// the h/i-MADRL networks actually run — observation width into the
+/// default hidden stack into the 2-d action head and the 1-d value head —
+/// at batch sizes 1/2 (collection and serving) and 16/64/256 (updates),
+/// for all three products a training step issues (forward `x·W`, weight
+/// gradient `xᵀ·dY`, input gradient `dY·Wᵀ`) under **both** GEMM kernels.
+/// The first layer runs twice: once on a dense fill and once (`obs` in the
+/// label) on real [`AirGroundEnv::observations`] rows, whose blind entities
+/// are exact zeros the fast kernel skips. GFLOP/s comes from the
+/// algorithmic count 2·m·n·k (the same formula [`agsc_nn::flops`] charges),
+/// so the figure is comparable whether or not telemetry is enabled and
+/// whatever the kernel skipped. Each (shape, product, kernel) cell lands in
+/// `BENCH_results.json` (and the trend ledger) with its `gflops`, labelled
+/// `ref` or `fast` so the speedup is directly readable from the results
+/// file and `bench trend` guards each kernel path as its own series.
 pub fn gemm_microbench(h: &HarnessConfig) {
     use agsc_nn::{flops::matmul_flops, GemmKernel, Matrix};
 
@@ -600,8 +603,10 @@ pub fn gemm_microbench(h: &HarnessConfig) {
     let mut res = BenchResults::new("gemm_microbench");
     w.line(banner("GEMM microbench: policy-network layer shapes, ref vs fast"));
     let dataset = presets::purdue(h.seed);
-    let obs_dim = AirGroundEnv::new(base_env(), &dataset, h.seed).obs_dim();
-    // The policy MLP's dense layers: obs → hidden stack → 2-d action head.
+    let mut env = AirGroundEnv::new(base_env(), &dataset, h.seed);
+    let obs_dim = env.obs_dim();
+    // The networks' dense layers: obs → hidden stack → 2-d action head
+    // and 1-d value head.
     let mut layers: Vec<(usize, usize)> = Vec::new();
     let mut inp = obs_dim;
     for &hsize in &TrainConfig::default().hidden {
@@ -609,13 +614,27 @@ pub fn gemm_microbench(h: &HarnessConfig) {
         inp = hsize;
     }
     layers.push((2, inp));
+    layers.push((1, inp));
+
+    // One UV's observations over consecutive steps, as an update batch
+    // stacks them: each UV flies a fixed heading at full speed.
+    let mut obs_rows: Vec<f32> = Vec::new();
+    while obs_rows.len() < 256 * obs_dim {
+        obs_rows.extend_from_slice(&env.observations()[0]);
+        let actions: Vec<UvAction> = (0..env.num_uvs())
+            .map(|k| UvAction { heading: k as f64 / 2.0 - 0.75, speed: 1.0 })
+            .collect();
+        if env.step(&actions).done {
+            env.reset(h.seed);
+        }
+    }
 
     // Timed repetitions per shape: scale with the harness budget but keep
     // the whole sweep comfortably cheap on the default budget.
     let reps = (h.iters * 8).clamp(8, 256);
 
-    // Mixed fill with a sprinkling of exact zeros: both kernels are dense,
-    // so zero operands must cost the same as any other value.
+    // A dense fill: about one value in thirteen is zero, too few for the
+    // fast kernel to skip any (only the `obs` rows are sparse enough).
     let fill = |rows: usize, cols: usize, salt: usize| {
         Matrix::from_vec(
             rows,
@@ -625,58 +644,70 @@ pub fn gemm_microbench(h: &HarnessConfig) {
     };
 
     w.line(format!(
-        "{:<16} {:>6} {:>10} {:>10} {:>10} {:>9}",
+        "{:<20} {:>6} {:>10} {:>10} {:>10} {:>9}",
         "shape BxOUTxIN", "reps", "product", "ref GF/s", "fast GF/s", "speedup"
     ));
     w.line(rule());
-    for &batch in &[1usize, 16, 64, 256] {
+    for &batch in &[1usize, 2, 16, 64, 256] {
         for &(out, width) in &layers {
             // One training step's operands: activations `x`, weights `W`,
             // and the gradient `dY` flowing back into this layer.
-            let x = fill(batch, width, 1);
             let wgt = fill(width, out, 7);
             let dy = fill(batch, out, 11);
-            let fwd = |kern| x.matmul_with(&wgt, kern);
-            let dw = |kern| x.t_matmul_with(&dy, kern);
-            let dx = |kern| dy.matmul_t_with(&wgt, kern);
-            let products: [(&str, &dyn Fn(GemmKernel) -> Matrix); 3] =
-                [("matmul", &fwd), ("t_matmul", &dw), ("matmul_t", &dx)];
-            // All three products do the same algorithmic work.
-            let flops_per_call = matmul_flops(batch, out, width);
-            for (product, run) in products {
-                let mut gf = [0.0f64; 2];
-                for (slot, kernel) in
-                    [GemmKernel::Reference, GemmKernel::Fast].into_iter().enumerate()
-                {
-                    // Warm-up pass (page in, branch-train) before timing.
-                    std::hint::black_box(run(kernel));
-                    let t0 = Instant::now();
-                    for _ in 0..reps {
-                        std::hint::black_box(run(kernel));
-                    }
-                    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-                    let gflops = (flops_per_call * reps as u64) as f64 / secs / 1e9;
-                    gf[slot] = gflops;
-                    let point = crate::results::ResultPoint::new(
-                        "gemm_microbench",
-                        "",
-                        &format!("B={batch} {out}x{width} {product} {}", kernel.label()),
-                        h,
-                        &Metrics::default(),
-                        secs,
-                    )
-                    .with_gflops(gflops);
-                    res.record_point(point);
+            let mut inputs = vec![("", fill(batch, width, 1))];
+            if width == obs_dim {
+                let x = Matrix::from_vec(batch, width, obs_rows[..batch * width].to_vec());
+                inputs.push((" obs", x));
+            }
+            for (kind, x) in &inputs {
+                let fwd = |kern| x.matmul_with(&wgt, kern);
+                let dw = |kern| x.t_matmul_with(&dy, kern);
+                let dx = |kern| dy.matmul_t_with(&wgt, kern);
+                let mut products: Vec<(&str, &dyn Fn(GemmKernel) -> Matrix)> =
+                    vec![("matmul", &fwd), ("t_matmul", &dw)];
+                // The input gradient never reads `x`.
+                if kind.is_empty() {
+                    products.push(("matmul_t", &dx));
                 }
-                w.line(format!(
-                    "{:<16} {:>6} {:>10} {:>10.2} {:>10.2} {:>8.2}x",
-                    format!("{batch}x{out}x{width}"),
-                    reps,
-                    product,
-                    gf[0],
-                    gf[1],
-                    gf[1] / gf[0].max(1e-9)
-                ));
+                // All three products do the same algorithmic work.
+                let flops_per_call = matmul_flops(batch, out, width);
+                for (product, run) in products {
+                    let mut gf = [0.0f64; 2];
+                    for (slot, kernel) in
+                        [GemmKernel::Reference, GemmKernel::Fast].into_iter().enumerate()
+                    {
+                        // Warm-up pass (page in, branch-train) before timing.
+                        std::hint::black_box(run(kernel));
+                        let t0 = Instant::now();
+                        for _ in 0..reps {
+                            std::hint::black_box(run(kernel));
+                        }
+                        let secs = t0.elapsed().as_secs_f64().max(1e-9);
+                        let gflops = (flops_per_call * reps as u64) as f64 / secs / 1e9;
+                        gf[slot] = gflops;
+                        let label =
+                            format!("B={batch} {out}x{width}{kind} {product} {}", kernel.label());
+                        let point = crate::results::ResultPoint::new(
+                            "gemm_microbench",
+                            "",
+                            &label,
+                            h,
+                            &Metrics::default(),
+                            secs,
+                        )
+                        .with_gflops(gflops);
+                        res.record_point(point);
+                    }
+                    w.line(format!(
+                        "{:<20} {:>6} {:>10} {:>10.2} {:>10.2} {:>8.2}x",
+                        format!("{batch}x{out}x{width}{kind}"),
+                        reps,
+                        product,
+                        gf[0],
+                        gf[1],
+                        gf[1] / gf[0].max(1e-9)
+                    ));
+                }
             }
         }
     }

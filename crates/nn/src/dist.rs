@@ -37,13 +37,24 @@ impl<'a> DiagGaussian<'a> {
         Self { mean, log_std }
     }
 
+    /// `σ` per dimension.
+    fn std(&self) -> Vec<f32> {
+        self.log_std.iter().map(|ls| ls.exp()).collect()
+    }
+
+    /// `1/σ²` per dimension.
+    fn inv_var(&self) -> Vec<f32> {
+        self.log_std.iter().map(|ls| (-2.0 * ls).exp()).collect()
+    }
+
     /// Sample one action per batch row.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Matrix {
+        let std = self.std();
         let mut out = self.mean.clone();
         for r in 0..out.rows() {
-            for (c, x) in out.row_mut(r).iter_mut().enumerate() {
+            for (x, &s) in out.row_mut(r).iter_mut().zip(&std) {
                 let z = sample_standard_normal(rng);
-                *x += z * self.log_std[c].exp();
+                *x += z * s;
             }
         }
         out
@@ -52,14 +63,13 @@ impl<'a> DiagGaussian<'a> {
     /// Log-probability of `actions` (`B × dim`), one value per row.
     pub fn log_prob(&self, actions: &Matrix) -> Vec<f32> {
         assert_eq!(actions.shape(), self.mean.shape(), "action shape mismatch");
+        let inv_var = self.inv_var();
         let mut out = Vec::with_capacity(actions.rows());
         for r in 0..actions.rows() {
             let mut lp = 0.0f32;
             for c in 0..actions.cols() {
-                let ls = self.log_std[c];
-                let inv_var = (-2.0 * ls).exp();
                 let d = actions[(r, c)] - self.mean[(r, c)];
-                lp += -0.5 * (d * d * inv_var + LOG_2PI) - ls;
+                lp += -0.5 * (d * d * inv_var[c] + LOG_2PI) - self.log_std[c];
             }
             out.push(lp);
         }
@@ -81,17 +91,16 @@ impl<'a> DiagGaussian<'a> {
         assert_eq!(actions.rows(), coeff.len(), "coeff length mismatch");
         let mut d_mean = Matrix::zeros(actions.rows(), actions.cols());
         let mut d_log_std = vec![0.0f32; actions.cols()];
+        let inv_var = self.inv_var();
         for r in 0..actions.rows() {
             let w = coeff[r];
             if w == 0.0 {
                 continue;
             }
             for c in 0..actions.cols() {
-                let ls = self.log_std[c];
-                let inv_var = (-2.0 * ls).exp();
                 let d = actions[(r, c)] - self.mean[(r, c)];
-                d_mean[(r, c)] = w * d * inv_var;
-                d_log_std[c] += w * (d * d * inv_var - 1.0);
+                d_mean[(r, c)] = w * d * inv_var[c];
+                d_log_std[c] += w * (d * d * inv_var[c] - 1.0);
             }
         }
         (d_mean, d_log_std)

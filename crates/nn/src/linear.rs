@@ -7,19 +7,18 @@ use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// `y = x W + b` with cached input for the backward pass.
+/// `y = x W + b`.
 ///
 /// `W` is stored `in_dim × out_dim`, so a batch `x` of shape `B × in_dim`
-/// maps to `B × out_dim`.
+/// maps to `B × out_dim`. The layer holds no activations: the caller keeps
+/// the forward's input and hands it to the backward (as
+/// [`Mlp`](crate::Mlp) does with its activation list).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight parameter, `in_dim × out_dim`.
     pub w: Param,
     /// Bias parameter, `1 × out_dim`.
     pub b: Param,
-    /// Input cached by the last `forward` call (training mode only).
-    #[serde(skip)]
-    cache: Option<Matrix>,
 }
 
 impl Linear {
@@ -28,7 +27,6 @@ impl Linear {
         Self {
             w: Param::new(init.sample(in_dim, out_dim, rng)),
             b: Param::new(Matrix::zeros(1, out_dim)),
-            cache: None,
         }
     }
 
@@ -39,7 +37,7 @@ impl Linear {
     /// Panics if the bias is not one row as wide as the weight.
     pub fn from_values(w: Matrix, b: Matrix) -> Self {
         assert_eq!(b.shape(), (1, w.cols()), "bias must be 1 × out_dim");
-        Self { w: Param::new(w), b: Param::new(b), cache: None }
+        Self { w: Param::new(w), b: Param::new(b) }
     }
 
     /// Input dimension.
@@ -52,14 +50,7 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Forward pass, caching the input for `backward`.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = x.matmul(&self.w.value).add_row_broadcast(self.b.value.row(0));
-        self.cache = Some(x.clone());
-        y
-    }
-
-    /// Forward pass without caching (inference).
+    /// Forward pass: `x·W + b`.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         x.matmul(&self.w.value).add_row_broadcast(self.b.value.row(0))
     }
@@ -81,21 +72,10 @@ impl Linear {
         z
     }
 
-    /// Fused training entry point: [`forward_act`](Self::forward_act) plus
-    /// caching the input for [`backward`](Self::backward).
-    pub fn forward_act_cached(&mut self, x: &Matrix, act: Activation) -> Matrix {
-        let y = self.forward_act(x, act);
-        self.cache = Some(x.clone());
-        y
-    }
-
-    /// Backward pass: given `dL/dy`, accumulate `dL/dW`, `dL/db` and return
-    /// `dL/dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        self.backward_params(grad_out);
+    /// Backward pass through the forward whose input was `x`: given
+    /// `dL/dy`, accumulate `dL/dW`, `dL/db` and return `dL/dx`.
+    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
+        self.backward_params(x, grad_out);
         // dX = dY · Wᵀ
         grad_out.matmul_t(&self.w.value)
     }
@@ -103,11 +83,7 @@ impl Linear {
     /// The parameter half of [`backward`](Self::backward): accumulate
     /// `dL/dW` and `dL/db` without the `dL/dx` product, for a first layer
     /// nobody differentiates into.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward_params(&mut self, grad_out: &Matrix) {
-        let x = self.cache.as_ref().expect("Linear::backward called before forward");
+    pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
         // dW = xᵀ · dY
         let dw = x.t_matmul(grad_out);
         self.w.grad.add_scaled(&dw, 1.0);
@@ -144,7 +120,7 @@ mod tests {
         let mut l = Linear::new(3, 2, Init::Zeros, &mut rng());
         l.b.value.as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let x = Matrix::from_vec(2, 3, vec![0.0; 6]);
-        let y = l.forward(&x);
+        let y = l.forward_inference(&x);
         assert_eq!(y.shape(), (2, 2));
         assert_eq!(y.row(0), &[1.0, -1.0]);
     }
@@ -155,9 +131,9 @@ mod tests {
         let x = Matrix::from_vec(2, 4, vec![0.3, -0.1, 0.8, 0.2, -0.5, 0.4, 0.0, 1.0]);
 
         // Scalar loss: sum of outputs.
-        let y = l.forward(&x);
+        let y = l.forward_inference(&x);
         let grad_out = Matrix::full(y.rows(), y.cols(), 1.0);
-        let dx = l.backward(&grad_out);
+        let dx = l.backward(&x, &grad_out);
 
         let eps = 1e-3f32;
         // Check dW numerically for a few entries.
@@ -188,21 +164,11 @@ mod tests {
         let mut l = Linear::new(2, 2, Init::XavierUniform, &mut rng());
         let x = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let g = Matrix::full(1, 2, 1.0);
-        l.forward(&x);
-        l.backward(&g);
+        l.backward(&x, &g);
         let first = l.w.grad.clone();
-        l.forward(&x);
-        l.backward(&g);
+        l.backward(&x, &g);
         let mut doubled = first.clone();
         doubled.add_scaled(&first, 1.0);
         assert_eq!(l.w.grad, doubled);
-    }
-
-    #[test]
-    #[should_panic(expected = "backward called before forward")]
-    fn backward_without_forward_panics() {
-        let mut l = Linear::new(2, 2, Init::Zeros, &mut rng());
-        let g = Matrix::full(1, 2, 1.0);
-        l.backward(&g);
     }
 }

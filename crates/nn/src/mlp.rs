@@ -34,15 +34,35 @@ use serde::{Deserialize, Serialize};
 ///     assert!((p - t).abs() < 0.2, "XOR not learned: {p} vs {t}");
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
     output_act: Activation,
-    /// Cached post-activation outputs of each layer from the last training
-    /// forward pass (needed to differentiate through the activations).
+    /// The last training forward's activations `[x, y₁, …, yₙ]`: each
+    /// layer's input and output, held once. `backward` reads layer `i`'s
+    /// input from entry `i` and differentiates its activation through
+    /// entry `i + 1`.
     #[serde(skip)]
-    act_cache: Vec<Matrix>,
+    acts: Vec<Matrix>,
+}
+
+/// A clone carries the parameters, not the last forward's activations: no
+/// caller that clones a network (the NaN guard's snapshot, a checkpoint)
+/// runs its backward before another forward.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Self::from_layers(self.layers.clone(), self.hidden_act, self.output_act)
+    }
+}
+
+/// Networks are equal when their layers and activations are; the cached
+/// activations of a forward are not part of the value.
+impl PartialEq for Mlp {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.layers, self.hidden_act, self.output_act)
+            == (&other.layers, other.hidden_act, other.output_act)
+    }
 }
 
 impl Mlp {
@@ -67,7 +87,7 @@ impl Mlp {
             let init = if w == sizes.len() - 2 { out_init } else { hidden_init };
             layers.push(Linear::new(sizes[w], sizes[w + 1], init, rng));
         }
-        Self { layers, hidden_act, output_act, act_cache: Vec::new() }
+        Self { layers, hidden_act, output_act, acts: Vec::new() }
     }
 
     /// Assemble an MLP from existing layers, e.g. weights read off a wire.
@@ -85,7 +105,7 @@ impl Mlp {
             layers.windows(2).all(|p| p[0].out_dim() == p[1].in_dim()),
             "layer widths must chain"
         );
-        Self { layers, hidden_act, output_act, act_cache: Vec::new() }
+        Self { layers, hidden_act, output_act, acts: Vec::new() }
     }
 
     /// A copy with the same layers, activations and parameter values but
@@ -138,21 +158,21 @@ impl Mlp {
         self.params().iter().map(|p| p.count()).sum()
     }
 
-    /// Training-mode forward pass; caches activations for `backward`.
+    /// Training-mode forward pass; keeps its activations for `backward`.
     ///
     /// Each layer runs the fused GEMM → bias → activation entry point
-    /// (`Linear::forward_act_cached`), which is bit-identical to the
-    /// unfused `forward` + `Activation::forward` sequence it replaced.
+    /// (`Linear::forward_act`), which is bit-identical to the unfused
+    /// `forward_inference` + `Activation::forward` sequence.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.act_cache.clear();
         let n = self.layers.len();
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
+        self.acts.clear();
+        self.acts.push(x.clone());
+        for (i, layer) in self.layers.iter().enumerate() {
             let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            h = layer.forward_act_cached(&h, act);
-            self.act_cache.push(h.clone());
+            let y = layer.forward_act(&self.acts[i], act);
+            self.acts.push(y);
         }
-        h
+        self.acts[n].clone()
     }
 
     /// Inference-mode forward pass (no caches touched, `&self`).
@@ -204,17 +224,17 @@ impl Mlp {
 
     /// The one backward loop; returns `dL/dx` when `input_grad` is set.
     fn backward_layers(&mut self, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
-        assert_eq!(self.act_cache.len(), self.layers.len(), "Mlp::backward called before forward");
         let n = self.layers.len();
+        assert_eq!(self.acts.len(), n + 1, "Mlp::backward called before forward");
         let mut g = grad_out.clone();
         for i in (0..n).rev() {
             let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            act.backward_from_output(&mut g, &self.act_cache[i]);
+            act.backward_from_output(&mut g, &self.acts[i + 1]);
             if i == 0 && !input_grad {
-                self.layers[0].backward_params(&g);
+                self.layers[0].backward_params(&self.acts[0], &g);
                 return None;
             }
-            g = self.layers[i].backward(&g);
+            g = self.layers[i].backward(&self.acts[i], &g);
         }
         Some(g)
     }

@@ -272,3 +272,178 @@ fn kernel_selection_spellings_and_labels() {
     assert_eq!(gemm::active_kernel(), GemmKernel::Fast);
     gemm::set_kernel_override(None);
 }
+
+/// An observation-like matrix: each row is entities of three features
+/// (the last one possibly cut short), and each entity is blind — blanked
+/// to zeros — with probability 0.7, as out-of-range entities are (§IV-B1).
+/// One blind entity in five is blanked to `-0.0` rather than `+0.0`.
+/// Visible entities hold values in `[0, 1)`.
+fn fill_observation(rows: usize, cols: usize, salt: u64) -> Matrix {
+    let mut rng = ChaCha8Rng::seed_from_u64(salt);
+    let mut data = Vec::with_capacity(rows * cols);
+    for _ in 0..rows {
+        for entity in (0..cols).step_by(3) {
+            let blind = rng.gen::<f32>() < 0.7;
+            let blank = if rng.gen::<f32>() < 0.2 { -0.0 } else { 0.0 };
+            for _ in entity..cols.min(entity + 3) {
+                data.push(if blind { blank } else { rng.gen::<f32>() });
+            }
+        }
+    }
+    Matrix::from_vec(rows, cols, data)
+}
+
+fn assert_mostly_zero(m: &Matrix) {
+    let zeros = m.as_slice().iter().filter(|v| **v == 0.0).count();
+    assert!(2 * zeros >= m.len(), "an observation-like fill must be at least half zeros");
+}
+
+/// Shapes that reach the zero-skipping tiles (more than one panel, enough
+/// work to scan for) next to the grid's edge cases: the actor's first
+/// layer at batch 100 both ways round, and a depth past one `KC` stripe.
+fn observation_shape_grid() -> Vec<(usize, usize, usize)> {
+    let mut shapes = shape_grid();
+    shapes.extend([(100, 64, 312), (312, 64, 100), (2 * MR + 1, 2 * NR + 3, KC + 60)]);
+    shapes
+}
+
+#[test]
+fn observation_sparse_lhs_is_bit_identical_for_all_three_products() {
+    for (m, n, k) in observation_shape_grid() {
+        let salt = (m * 131 + n * 17 + k) as u64;
+        let a = fill_observation(m, k, salt); // m×k for matmul and matmul_t
+        let at = fill_observation(k, m, salt ^ 1); // k×m for t_matmul
+        let b = fill(k, n, salt ^ 2);
+        let bt = fill(n, k, salt ^ 3);
+        if m * k >= 1000 {
+            assert_mostly_zero(&a);
+            assert_mostly_zero(&at);
+        }
+        let ctx = format!("{m}x{n}x{k}");
+        assert_eq!(
+            bits(&a.matmul_with(&b, GemmKernel::Fast)),
+            bits(&a.matmul_with(&b, GemmKernel::Reference)),
+            "matmul {ctx}"
+        );
+        assert_eq!(
+            bits(&at.t_matmul_with(&b, GemmKernel::Fast)),
+            bits(&at.t_matmul_with(&b, GemmKernel::Reference)),
+            "t_matmul {ctx}"
+        );
+        assert_eq!(
+            bits(&a.matmul_t_with(&bt, GemmKernel::Fast)),
+            bits(&a.matmul_t_with(&bt, GemmKernel::Reference)),
+            "matmul_t {ctx}"
+        );
+    }
+}
+
+/// `b` with ±∞ and NaN written into the given depth rows (`k×n`, so a
+/// depth row is a row) or depth columns (`n×k`, `depth_is_col`).
+fn poison(b: &Matrix, depths: &[usize], depth_is_col: bool) -> Matrix {
+    let mut b = b.clone();
+    let specials = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+    for (i, &d) in depths.iter().enumerate() {
+        let other = if depth_is_col { b.rows() } else { b.cols() };
+        let o = (i * 7) % other;
+        let at = if depth_is_col { (o, d) } else { (d, o) };
+        b[at] = specials[i % specials.len()];
+    }
+    b
+}
+
+/// The depth indices where `a` has at least one zero operand: column `c`
+/// of an `m×k` `a`, or row `r` of a `k×m` one (`depth_is_row`).
+fn zero_depths(a: &Matrix, depth_is_row: bool) -> Vec<usize> {
+    let depth = if depth_is_row { a.rows() } else { a.cols() };
+    (0..depth)
+        .filter(|&d| {
+            if depth_is_row {
+                a.row(d).contains(&0.0)
+            } else {
+                (0..a.rows()).any(|r| a[(r, d)] == 0.0)
+            }
+        })
+        .step_by(5)
+        .collect()
+}
+
+#[test]
+fn non_finite_rhs_behind_zero_lhs_operands_stays_nan_where_reference_is() {
+    // 0 · ∞ is NaN: a zero-skipping kernel that dropped these terms would
+    // return finite values where the reference returns NaN.
+    for (m, n, k) in [(100, 64, 312), (312, 64, 100), (2 * MR + 1, 2 * NR + 3, KC + 60)] {
+        let a = fill_observation(m, k, 5);
+        let at = fill_observation(k, m, 6);
+        assert_mostly_zero(&a);
+        assert_mostly_zero(&at);
+        let b = poison(&fill(k, n, 7), &zero_depths(&a, false), false);
+        let bt_rows = poison(&fill(k, n, 8), &zero_depths(&at, true), false);
+        let bt = poison(&fill(n, k, 9), &zero_depths(&a, false), true);
+        let fast = a.matmul_with(&b, GemmKernel::Fast);
+        assert!(fast.as_slice().iter().any(|v| v.is_nan()), "the poison must reach the output");
+        assert_nan_identical(
+            &fast,
+            &a.matmul_with(&b, GemmKernel::Reference),
+            &format!("matmul {m}x{n}x{k}"),
+        );
+        assert_nan_identical(
+            &at.t_matmul_with(&bt_rows, GemmKernel::Fast),
+            &at.t_matmul_with(&bt_rows, GemmKernel::Reference),
+            &format!("t_matmul {m}x{n}x{k}"),
+        );
+        assert_nan_identical(
+            &a.matmul_t_with(&bt, GemmKernel::Fast),
+            &a.matmul_t_with(&bt, GemmKernel::Reference),
+            &format!("matmul_t {m}x{n}x{k}"),
+        );
+    }
+}
+
+#[test]
+fn small_batches_and_narrow_heads_are_bit_identical() {
+    // Batch 1–7 rows (the register-strip kernels), and 1–2-wide outputs or
+    // 1–2-deep products (the narrow kernels), against every other size.
+    let widths = [1, 2, 3, NR + 1, 2 * NR + 5];
+    for m in (1..=7).chain([8, 9, 17, 33, 100]) {
+        for &n in &widths {
+            for &k in &widths {
+                assert_cell_bit_identical(m, n, k, (m * 1000 + n * 10 + k) as u64);
+            }
+        }
+    }
+    for (m, n, k) in [(64, 1, 100), (64, 2, 100), (100, 64, 1), (100, 64, 2), (1, 2, KC + 9)] {
+        assert_cell_bit_identical(m, n, k, (m + n + k) as u64);
+    }
+}
+
+#[test]
+fn reused_scratch_never_leaks_into_a_later_product() {
+    // A fresh thread starts with empty pack buffers; big, then small, then
+    // big shapes make each call reuse what the one before it left behind.
+    std::thread::spawn(|| {
+        let shapes = [
+            (100, 64, 312),
+            (9, 17, 3),
+            (7, 40, 5),
+            (312, 64, 100),
+            (13, NR + 1, KC + 1),
+            (8, 3, 2),
+            (65, 100, 300),
+            (1, 1, 1),
+            (100, 64, 312),
+        ];
+        for (i, &(m, n, k)) in shapes.iter().enumerate() {
+            assert_cell_bit_identical(m, n, k, i as u64);
+            let a = fill_observation(m, k, i as u64);
+            let b = fill(k, n, i as u64 + 50);
+            assert_eq!(
+                bits(&a.matmul_with(&b, GemmKernel::Fast)),
+                bits(&a.matmul_with(&b, GemmKernel::Reference)),
+                "observation matmul {m}x{n}x{k} after the shapes before it"
+            );
+        }
+    })
+    .join()
+    .expect("the scratch-reuse sequence must match the reference");
+}
