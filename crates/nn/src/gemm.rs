@@ -79,10 +79,6 @@ pub const KC: usize = 256;
 /// way, so this is purely a performance heuristic).
 const SMALL_M: usize = 8;
 
-/// Products of fewer multiply-adds never look for zeros to skip: the two
-/// scans would cost more than skipping could save.
-const SKIP_MIN_WORK: usize = 1 << 15;
-
 /// Which GEMM implementation a product dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
@@ -315,7 +311,7 @@ fn prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 macro_rules! define_tiled {
     ($mod_name:ident $(, $feat:literal)?) => {
         mod $mod_name {
-            use super::{prefix, return_scratch, take_scratch, KC, MR, NR, SKIP_MIN_WORK, SMALL_M};
+            use super::{prefix, return_scratch, take_scratch, KC, MR, NR, SMALL_M};
 
             /// Lanes one small-`m` strip keeps in registers per pass.
             const STRIP: usize = 32;
@@ -356,10 +352,11 @@ macro_rules! define_tiled {
             /// and adding `±0` to such a chain changes no bit. With a
             /// non-finite `b` the term could be NaN, so the call stays dense.
             /// A block's list of live steps only repays its scan when more
-            /// than one panel (`n > NR`) runs over it.
+            /// than one panel (`n > NR`) runs over it, and a dense `a` is
+            /// turned away by one cheap count before any block scans it.
             $( #[target_feature(enable = $feat)] )?
-            fn skip_zeros(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> bool {
-                n > NR && m * n * k >= SKIP_MIN_WORK && mostly_zero(a) && all_finite(b)
+            fn skip_zeros(n: usize, a: &[f32], b: &[f32]) -> bool {
+                n > NR && mostly_zero(a) && all_finite(b)
             }
 
             /// Pack `b[k0..k0+kc, :]` (row-major `k×n`) into NR-column,
@@ -441,8 +438,9 @@ macro_rules! define_tiled {
 
             /// The depth steps `0..kc` whose `MR` A-operands are not all
             /// zero, written into `buf`: the only steps a zero-skipping tile
-            /// has to run. `None` when too few are zero to repay the
-            /// indirection.
+            /// has to run. `None` when more than three quarters are live:
+            /// too few are zero to repay the indirection (DESIGN §17 has
+            /// the census behind the cutoff).
             $( #[target_feature(enable = $feat)] )?
             fn live_steps(lhs: impl Lhs, kc: usize, buf: &mut [u16]) -> Option<&[u16]> {
                 let mut len = 0;
@@ -729,14 +727,14 @@ macro_rules! define_tiled {
                     return;
                 }
                 match n {
+                    1 => narrow_matmul::<1>(m, k, a, b, out),
+                    2 => narrow_matmul::<2>(m, k, a, b, out),
                     _ if m < SMALL_M => {
                         for (i, row) in out.chunks_exact_mut(n).enumerate() {
                             strip(n, k, a, i * k, 1, b, row);
                         }
                     }
-                    1 => narrow_matmul::<1>(m, k, a, b, out),
-                    2 => narrow_matmul::<2>(m, k, a, b, out),
-                    _ => tiled(m, n, k, a, b, out, (false, false), skip_zeros(m, n, k, a, b)),
+                    _ => tiled(m, n, k, a, b, out, (false, false), skip_zeros(n, a, b)),
                 }
             }
 
@@ -753,7 +751,7 @@ macro_rules! define_tiled {
                             strip(n, k, a, i, m, b, row);
                         }
                     }
-                    _ => tiled(m, n, k, a, b, out, (true, false), skip_zeros(m, n, k, a, b)),
+                    _ => tiled(m, n, k, a, b, out, (true, false), skip_zeros(n, a, b)),
                 }
             }
 

@@ -475,6 +475,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Mlp::backward called before forward")]
+    fn backward_without_forward_panics() {
+        let mut net = Mlp::tanh(&[3, 4, 2], &mut rng());
+        net.backward(&Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "Mlp::backward called before forward")]
+    fn backward_on_a_clone_without_its_own_forward_panics() {
+        // A clone carries no activations, even when its source has them.
+        let mut net = Mlp::tanh(&[3, 4, 2], &mut rng());
+        net.forward(&Matrix::zeros(1, 3));
+        let mut copy = net.clone();
+        copy.backward_params(&Matrix::zeros(1, 2));
+    }
+
+    #[test]
     fn serde_round_trip_preserves_outputs() {
         let net = Mlp::tanh(&[3, 8, 2], &mut rng());
         let json = serde_json::to_string(&net).unwrap();

@@ -273,29 +273,57 @@ fn kernel_selection_spellings_and_labels() {
     gemm::set_kernel_override(None);
 }
 
-/// An observation-like matrix: each row is entities of three features
-/// (the last one possibly cut short), and each entity is blind — blanked
-/// to zeros — with probability 0.7, as out-of-range entities are (§IV-B1).
-/// One blind entity in five is blanked to `-0.0` rather than `+0.0`.
-/// Visible entities hold values in `[0, 1)`.
+/// An observation-like matrix: each row is one time step of entities of
+/// three features (the last one possibly cut short), and each entity is
+/// blind — blanked to zeros — about 70% of the time, as out-of-range
+/// entities are (§IV-B1). Like an agent's consecutive time steps, an
+/// entity keeps its state over runs of rows: each row redraws it with
+/// probability 1/6. A blind entity's row is blanked to `-0.0` rather than
+/// `+0.0` one time in five. Visible entities hold values in `[0, 1)`.
 fn fill_observation(rows: usize, cols: usize, salt: u64) -> Matrix {
     let mut rng = ChaCha8Rng::seed_from_u64(salt);
+    let mut blind: Vec<bool> = (0..cols.div_ceil(3)).map(|_| rng.gen::<f32>() < 0.7).collect();
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows {
-        for entity in (0..cols).step_by(3) {
-            let blind = rng.gen::<f32>() < 0.7;
+        for (e, blind) in blind.iter_mut().enumerate() {
+            if rng.gen::<f32>() < 1.0 / 6.0 {
+                *blind = rng.gen::<f32>() < 0.7;
+            }
             let blank = if rng.gen::<f32>() < 0.2 { -0.0 } else { 0.0 };
-            for _ in entity..cols.min(entity + 3) {
-                data.push(if blind { blank } else { rng.gen::<f32>() });
+            for _ in 3 * e..cols.min(3 * e + 3) {
+                data.push(if *blind { blank } else { rng.gen::<f32>() });
             }
         }
     }
     Matrix::from_vec(rows, cols, data)
 }
 
-fn assert_mostly_zero(m: &Matrix) {
-    let zeros = m.as_slice().iter().filter(|v| **v == 0.0).count();
-    assert!(2 * zeros >= m.len(), "an observation-like fill must be at least half zeros");
+/// The share of depth steps over `a`'s full `MR`-wide blocks whose `MR`
+/// operands are all zero: the steps a zero-skipping full tile drops.
+/// Blocks run down the rows of an `m×k` `a` (`matmul`), or across the
+/// columns of a `k×m` one (`t_matmul`, `depth_is_row`).
+fn all_zero_step_share(a: &Matrix, depth_is_row: bool) -> f64 {
+    let (width, depth) = if depth_is_row { (a.cols(), a.rows()) } else { (a.rows(), a.cols()) };
+    let operand = |i: usize, d: usize| if depth_is_row { a[(d, i)] } else { a[(i, d)] };
+    let (mut zero, mut steps) = (0usize, 0usize);
+    for i0 in (0..width / MR * MR).step_by(MR) {
+        for d in 0..depth {
+            steps += 1;
+            zero += usize::from((i0..i0 + MR).all(|i| operand(i, d) == 0.0));
+        }
+    }
+    zero as f64 / steps.max(1) as f64
+}
+
+/// Assert `a` is sparse enough for the zero-skipping full tiles to run:
+/// half zeros passes the whole-matrix check, and with at least a quarter
+/// of the full blocks' depth steps all-zero, some block and stripe is
+/// bound to list at most three quarters of its steps as live.
+fn assert_skips_full_tiles(a: &Matrix, depth_is_row: bool) {
+    let zeros = a.as_slice().iter().filter(|v| **v == 0.0).count();
+    assert!(2 * zeros >= a.len(), "an observation-like fill must be at least half zeros");
+    let share = all_zero_step_share(a, depth_is_row);
+    assert!(share >= 0.25, "only {share:.2} of the full blocks' depth steps are all-zero");
 }
 
 /// Shapes that reach the zero-skipping tiles (more than one panel, enough
@@ -316,8 +344,8 @@ fn observation_sparse_lhs_is_bit_identical_for_all_three_products() {
         let b = fill(k, n, salt ^ 2);
         let bt = fill(n, k, salt ^ 3);
         if m * k >= 1000 {
-            assert_mostly_zero(&a);
-            assert_mostly_zero(&at);
+            assert_skips_full_tiles(&a, false);
+            assert_skips_full_tiles(&at, true);
         }
         let ctx = format!("{m}x{n}x{k}");
         assert_eq!(
@@ -375,8 +403,8 @@ fn non_finite_rhs_behind_zero_lhs_operands_stays_nan_where_reference_is() {
     for (m, n, k) in [(100, 64, 312), (312, 64, 100), (2 * MR + 1, 2 * NR + 3, KC + 60)] {
         let a = fill_observation(m, k, 5);
         let at = fill_observation(k, m, 6);
-        assert_mostly_zero(&a);
-        assert_mostly_zero(&at);
+        assert_skips_full_tiles(&a, false);
+        assert_skips_full_tiles(&at, true);
         let b = poison(&fill(k, n, 7), &zero_depths(&a, false), false);
         let bt_rows = poison(&fill(k, n, 8), &zero_depths(&at, true), false);
         let bt = poison(&fill(n, k, 9), &zero_depths(&a, false), true);
