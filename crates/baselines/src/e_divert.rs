@@ -362,7 +362,7 @@ impl EDivert {
         let q = agent.critic.forward(&q_in);
         let target_m = Matrix::from_vec(b, 1, targets.clone());
         let (_, grad) = agsc_nn::loss::mse(&q, &target_m);
-        agent.critic.backward_params(&grad);
+        agent.critic.backward_params(&q_in, &grad);
         agent.critic.clip_grad_norm(1.0);
         agent.critic_opt.step(&mut agent.critic.params_mut());
 
@@ -385,7 +385,7 @@ impl EDivert {
         // dQ/dinput via backward with ones (don't step the critic optimiser:
         // its grads are discarded by zeroing below).
         let ones = Matrix::full(q2.rows(), 1, -1.0 / b as f32); // ascend ⇒ negate
-        let dq_din = agent.critic.backward(&ones);
+        let dq_din = agent.critic.backward(&q_in2, &ones);
         agent.critic.zero_grad();
         // Slice the action columns.
         let obs_cols = obs.cols();
@@ -394,7 +394,7 @@ impl EDivert {
             d_act[(r, 0)] = dq_din[(r, obs_cols)];
             d_act[(r, 1)] = dq_din[(r, obs_cols + 1)];
         }
-        let d_h = agent.actor.head.backward(&d_act);
+        let d_h = agent.actor.head.backward(&h, &d_act);
         agent.actor.core.backward_sequence(&[d_h]);
         agent.actor.head.clip_grad_norm(1.0);
         let mut params = agent.actor.head.params_mut();

@@ -22,7 +22,7 @@ pub enum CriticKind {
 }
 
 /// One UV's trainable networks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct PpoAgent {
     /// Policy trunk: obs → 2-D action mean, tanh-squashed into `[-1, 1]`.
     actor: Mlp,
@@ -36,6 +36,32 @@ pub struct PpoAgent {
     critic_ho: Mlp,
     actor_opt: Adam,
     critic_opt: Adam,
+}
+
+/// `clone_from` refills the destination's buffers in place (the trainer's
+/// NaN-guard snapshot does, every iteration).
+impl Clone for PpoAgent {
+    fn clone(&self) -> Self {
+        Self {
+            actor: self.actor.clone(),
+            log_std: self.log_std.clone(),
+            critic: self.critic.clone(),
+            critic_he: self.critic_he.clone(),
+            critic_ho: self.critic_ho.clone(),
+            actor_opt: self.actor_opt.clone(),
+            critic_opt: self.critic_opt.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.actor.clone_from(&src.actor);
+        self.log_std.clone_from(&src.log_std);
+        self.critic.clone_from(&src.critic);
+        self.critic_he.clone_from(&src.critic_he);
+        self.critic_ho.clone_from(&src.critic_ho);
+        self.actor_opt.clone_from(&src.actor_opt);
+        self.critic_opt.clone_from(&src.critic_opt);
+    }
 }
 
 /// Stats of one PPO policy update.
@@ -111,6 +137,12 @@ impl PpoAgent {
         &self.actor
     }
 
+    /// The policy trunk, mutably: for callers that set its weights (a
+    /// fault-injection test poisons them).
+    pub fn actor_mut(&mut self) -> &mut Mlp {
+        &mut self.actor
+    }
+
     /// Current log-σ values.
     pub fn log_std(&self) -> &[f32] {
         self.log_std.value.as_slice()
@@ -122,23 +154,27 @@ impl PpoAgent {
         self.actor.forward_inference(&o).as_slice().to_vec()
     }
 
-    /// The chosen critic and the optimiser the three critics share.
-    fn critic_mut(&mut self, which: CriticKind) -> (&mut Mlp, &mut Adam) {
-        let net = match which {
+    /// The chosen critic.
+    fn critic_mut(&mut self, which: CriticKind) -> &mut Mlp {
+        match which {
             CriticKind::Own => &mut self.critic,
             CriticKind::Heterogeneous => &mut self.critic_he,
             CriticKind::Homogeneous => &mut self.critic_ho,
-        };
-        (net, &mut self.critic_opt)
+        }
     }
 
     /// Value estimates of the chosen critic for a batch of inputs.
     ///
     /// This is the training forward (bit-equal to inference), so the
     /// returned [`CriticForward`] can later step that critic with
-    /// [`critic_step`](Self::critic_step) without running it again.
-    pub fn critic_forward(&mut self, input: &Matrix, which: CriticKind) -> CriticForward {
-        CriticForward { which, pred: self.critic_mut(which).0.forward(input) }
+    /// [`critic_step`](Self::critic_step) without running it again. It
+    /// borrows `input` for that step's backward.
+    pub fn critic_forward<'a>(
+        &mut self,
+        input: &'a Matrix,
+        which: CriticKind,
+    ) -> CriticForward<'a> {
+        CriticForward { which, input, pred: self.critic_mut(which).forward(input) }
     }
 
     /// One clipped-PPO ascent step on the surrogate objective (Eqn 25/28).
@@ -191,7 +227,7 @@ impl PpoAgent {
         // Ascent on the objective ⇒ descent on its negation.
         let neg: Vec<f32> = coeff.iter().map(|c| -c).collect();
         let (d_mean, d_log_std) = dist.log_prob_grad(actions, &neg);
-        self.actor.backward_params(&d_mean);
+        self.actor.backward_params(obs, &d_mean);
         for (g, d) in self.log_std.grad.as_mut_slice().iter_mut().zip(d_log_std.iter()) {
             // Entropy bonus: dH/dlogσ = 1 per dimension (ascent ⇒ −coef).
             *g += d - entropy_coef;
@@ -225,18 +261,48 @@ impl PpoAgent {
         targets: &[f32],
         max_grad_norm: f32,
     ) -> CriticStats {
-        assert_eq!(fwd.pred.rows(), targets.len(), "target count mismatch");
-        if targets.is_empty() {
-            return CriticStats::default();
+        let [stats] = self.critic_steps([(fwd, targets)], max_grad_norm);
+        stats
+    }
+
+    /// [`critic_step`](Self::critic_step) for each `(forward, targets)` of
+    /// distinct critics, bit for bit as if called one after another in
+    /// that order. Each critic backpropagates first, their gradient norms
+    /// are then summed side by side ([`Mlp::clip_grad_norms`]), and the
+    /// shared optimiser steps them in order. An empty batch steps nothing.
+    ///
+    /// # Panics
+    /// Panics if two forwards came from one critic, or a forward's row
+    /// count differs from its target count.
+    pub fn critic_steps<const N: usize>(
+        &mut self,
+        steps: [(&CriticForward, &[f32]); N],
+        max_grad_norm: f32,
+    ) -> [CriticStats; N] {
+        for (fwd, targets) in &steps {
+            assert_eq!(fwd.pred.rows(), targets.len(), "target count mismatch");
         }
-        let (net, opt) = self.critic_mut(fwd.which);
-        net.zero_grad();
-        let target = Matrix::from_vec(targets.len(), 1, targets.to_vec());
-        let (loss, grad) = agsc_nn::loss::mse(&fwd.pred, &target);
-        net.backward_params(&grad);
-        let grad_norm = net.clip_grad_norm(max_grad_norm);
-        opt.step(&mut net.params_mut());
-        CriticStats { loss, grad_norm }
+        if steps.iter().any(|(_, targets)| targets.is_empty()) {
+            return [CriticStats::default(); N];
+        }
+        let Self { critic, critic_he, critic_ho, critic_opt, .. } = self;
+        // In `CriticKind` order.
+        let mut critics = [Some(critic), Some(critic_he), Some(critic_ho)];
+        let mut nets = steps
+            .map(|(fwd, _)| critics[fwd.which as usize].take().expect("one forward per critic"));
+        let mut losses = [0.0; N];
+        for ((net, (fwd, targets)), loss) in nets.iter_mut().zip(&steps).zip(&mut losses) {
+            net.zero_grad();
+            let target = Matrix::from_vec(targets.len(), 1, targets.to_vec());
+            let (l, grad) = agsc_nn::loss::mse(&fwd.pred, &target);
+            net.backward_params(fwd.input, &grad);
+            *loss = l;
+        }
+        let norms = Mlp::clip_grad_norms(nets.each_mut().map(|n| &mut **n), max_grad_norm);
+        for net in nets {
+            critic_opt.step(&mut net.params_mut());
+        }
+        std::array::from_fn(|i| CriticStats { loss: losses[i], grad_norm: norms[i] })
     }
 
     /// A frozen copy of the policy — actor weights and log-σ, without the
@@ -277,7 +343,7 @@ impl PpoAgent {
             }
         }
         let (d_mean, d_log_std) = dist.log_prob_grad(actions, &coeff);
-        self.actor.backward_params(&d_mean);
+        self.actor.backward_params(obs, &d_mean);
         let mut flat = self.actor.flat_grads();
         flat.extend_from_slice(&d_log_std);
         self.actor.zero_grad();
@@ -287,15 +353,16 @@ impl PpoAgent {
 
 /// One critic's training forward: its value estimates, waiting for the
 /// regression step ([`PpoAgent::critic_step`]) that reuses its cached
-/// activations. It names the critic it came from, so the step cannot land
-/// on another one.
+/// activations and the input it borrows. It names the critic it came from,
+/// so the step cannot land on another one.
 #[derive(Debug)]
-pub struct CriticForward {
+pub struct CriticForward<'a> {
     which: CriticKind,
+    input: &'a Matrix,
     pred: Matrix,
 }
 
-impl CriticForward {
+impl CriticForward<'_> {
     /// The critic's raw outputs (before any value-norm denormalisation),
     /// one per input row.
     pub fn values(&self) -> &[f32] {
@@ -313,9 +380,13 @@ pub struct BehaviourPolicy {
 impl BehaviourPolicy {
     /// Run the actor on `obs` once. The returned [`LogProbGrads`]
     /// backpropagates any number of coefficient vectors from that forward.
-    pub fn log_prob_grads<'a>(&'a mut self, obs: &Matrix, actions: &'a Matrix) -> LogProbGrads<'a> {
+    pub fn log_prob_grads<'a>(
+        &'a mut self,
+        obs: &'a Matrix,
+        actions: &'a Matrix,
+    ) -> LogProbGrads<'a> {
         let mean = self.actor.forward(obs);
-        LogProbGrads { actor: &mut self.actor, log_std: &self.log_std, mean, actions }
+        LogProbGrads { actor: &mut self.actor, log_std: &self.log_std, obs, mean, actions }
     }
 }
 
@@ -324,6 +395,7 @@ impl BehaviourPolicy {
 pub struct LogProbGrads<'a> {
     actor: &'a mut Mlp,
     log_std: &'a [f32],
+    obs: &'a Matrix,
     mean: Matrix,
     actions: &'a Matrix,
 }
@@ -337,7 +409,7 @@ impl LogProbGrads<'_> {
         self.actor.zero_grad();
         let dist = DiagGaussian::new(&self.mean, self.log_std);
         let (d_mean, d_log_std) = dist.log_prob_grad(self.actions, coeff);
-        self.actor.backward_params(&d_mean);
+        self.actor.backward_params(self.obs, &d_mean);
         let mut flat = self.actor.flat_grads();
         flat.extend_from_slice(&d_log_std);
         flat

@@ -14,11 +14,24 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The self-supervised identity classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct EoiClassifier {
     net: Mlp,
     opt: Adam,
     epsilon: f32,
+}
+
+/// `clone_from` refills the destination's buffers in place.
+impl Clone for EoiClassifier {
+    fn clone(&self) -> Self {
+        Self { net: self.net.clone(), opt: self.opt.clone(), epsilon: self.epsilon }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.net.clone_from(&src.net);
+        self.opt.clone_from(&src.opt);
+        self.epsilon = src.epsilon;
+    }
 }
 
 impl EoiClassifier {
@@ -74,7 +87,7 @@ impl EoiClassifier {
         // L = CE + ε·H  ⇒  dL/dlogits = dCE − ε·d(−H).
         let mut grad = ce_grad;
         grad.add_scaled(&neg_h_grad, -self.epsilon);
-        self.net.backward_params(&grad);
+        self.net.backward_params(obs, &grad);
         self.net.clip_grad_norm(5.0);
         self.opt.step(&mut self.net.params_mut());
         ce + self.epsilon * h

@@ -335,7 +335,7 @@ impl Maddpg {
             let q = agent.critic.forward(&q_in);
             let t = Matrix::from_vec(b, 1, targets);
             let (_, grad) = agsc_nn::loss::mse(&q, &t);
-            agent.critic.backward_params(&grad);
+            agent.critic.backward_params(&q_in, &grad);
             agent.critic.clip_grad_norm(1.0);
             agent.critic_opt.step(&mut agent.critic.params_mut());
 
@@ -353,7 +353,7 @@ impl Maddpg {
             let q_in2 = concat_cols(&states, &joint_with_mine);
             let q2 = agent.critic.forward(&q_in2);
             let ones = Matrix::full(q2.rows(), 1, -1.0 / b as f32); // ascend
-            let dq_din = agent.critic.backward(&ones);
+            let dq_din = agent.critic.backward(&q_in2, &ones);
             agent.critic.zero_grad();
             let state_cols = states.cols();
             let mut d_act = Matrix::zeros(b, 2);
@@ -361,7 +361,7 @@ impl Maddpg {
                 d_act[(r, 0)] = dq_din[(r, state_cols + 2 * a)];
                 d_act[(r, 1)] = dq_din[(r, state_cols + 2 * a + 1)];
             }
-            agent.actor.backward_params(&d_act);
+            agent.actor.backward_params(&obs_a, &d_act);
             agent.actor.clip_grad_norm(1.0);
             agent.actor_opt.step(&mut agent.actor.params_mut());
 

@@ -12,14 +12,15 @@ use crate::copo::{neighbor_range_m, Lcf};
 use crate::eoi::EoiClassifier;
 use crate::error::TrainError;
 use crate::gae::{gae_segmented, normalize_advantages};
-use crate::parallel::{resolve_workers, scoped_map};
+use crate::parallel::{balanced_ranges, fork, resolve_workers, worker_job, Turns};
 use crate::rollout::{NeighborKind, Rollout};
-use agsc_env::{shard_ranges, AirGroundEnv, Metrics, UvAction, VecEnv};
+use agsc_env::{AirGroundEnv, Metrics, UvAction, VecEnv};
 use agsc_nn::{Adam, Matrix, Mlp, RunningStat};
 use agsc_telemetry as tlm;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Minibatches of the classifier's one pass per iteration over the stacked
 /// batch (line 12): one Eqn 21 step each, at the FLOPs of one full-batch
@@ -133,15 +134,58 @@ fn json_array(xs: &[f32]) -> String {
 
 /// Everything the optimisers touch: the state one update reads and writes,
 /// and what the NaN guard rolls back.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Learnables {
-    agents: Vec<PpoAgent>,
     classifier: Option<EoiClassifier>,
+    models: Models,
+}
+
+/// The learnables beside the classifier: what the policy epochs, V_all and
+/// the LCF meta step update.
+#[derive(Debug)]
+struct Models {
+    agents: Vec<PpoAgent>,
     v_all: Mlp,
     v_all_opt: Adam,
     lcfs: Vec<Lcf>,
     stat_own: RunningStat,
     stat_all: RunningStat,
+}
+
+/// `clone_from` refills the destination's buffers in place: the NaN
+/// guard's snapshot is one copy, refilled every iteration.
+impl Clone for Learnables {
+    fn clone(&self) -> Self {
+        Self { classifier: self.classifier.clone(), models: self.models.clone() }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.classifier.clone_from(&src.classifier);
+        self.models.clone_from(&src.models);
+    }
+}
+
+/// `clone_from` refills the destination's buffers in place.
+impl Clone for Models {
+    fn clone(&self) -> Self {
+        Self {
+            agents: self.agents.clone(),
+            v_all: self.v_all.clone(),
+            v_all_opt: self.v_all_opt.clone(),
+            lcfs: self.lcfs.clone(),
+            stat_own: self.stat_own.clone(),
+            stat_all: self.stat_all.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.agents.clone_from(&src.agents);
+        self.v_all.clone_from(&src.v_all);
+        self.v_all_opt.clone_from(&src.v_all_opt);
+        self.lcfs.clone_from(&src.lcfs);
+        self.stat_own.clone_from(&src.stat_own);
+        self.stat_all.clone_from(&src.stat_all);
+    }
 }
 
 /// A non-finite value the NaN guard caught; the first one ends the update.
@@ -162,6 +206,21 @@ fn all_finite(xs: &[f32]) -> bool {
     xs.iter().all(|x| x.is_finite())
 }
 
+/// Where an iteration's rollouts come from.
+enum Batch<'e> {
+    /// One episode per env, collected from the already drawn batch seed.
+    Collect(&'e mut [AirGroundEnv], u64),
+    /// Rollouts collected elsewhere, in env order, and their mean task
+    /// metrics.
+    Given(Vec<Rollout>, Metrics),
+}
+
+/// The actors of `agents`, borrowed, as a collection view of `shape`.
+fn actor_set(agents: &[PpoAgent], shape: FleetShape) -> ActorSet<'_> {
+    let actors = agents.iter().map(|a| ActorRef { net: a.actor(), log_std: a.log_std() }).collect();
+    ActorSet::new(actors, shape)
+}
+
 /// The h/i-MADRL trainer.
 #[derive(Debug, Clone)]
 pub struct HiMadrlTrainer {
@@ -170,6 +229,11 @@ pub struct HiMadrlTrainer {
     num_uavs: usize,
     obs_dim: usize,
     learn: Learnables,
+    /// The NaN guard's copy of the learnables from before the running
+    /// update: allocated by the first update under the guard, then
+    /// refilled in place by each, on a helper thread where one is free
+    /// (DESIGN.md §12). A trainer that never updates holds none.
+    snapshot: Option<Learnables>,
     rng: ChaCha8Rng,
     iterations_done: usize,
     planned_iterations: usize,
@@ -215,19 +279,23 @@ impl HiMadrlTrainer {
         v_all_sizes.push(1);
         let v_all = Mlp::tanh(&v_all_sizes, &mut rng);
         let neighbor_range = neighbor_range_m(env.bounds().diagonal(), cfg.neighbor_range_frac);
-        Ok(Self {
-            num_agents,
-            num_uavs,
-            obs_dim,
-            learn: Learnables {
+        let learn = Learnables {
+            classifier,
+            models: Models {
                 agents,
-                classifier,
                 v_all,
                 v_all_opt: Adam::new(cfg.critic_lr),
                 lcfs: vec![Lcf::default(); num_agents],
                 stat_own: RunningStat::new(),
                 stat_all: RunningStat::new(),
             },
+        };
+        Ok(Self {
+            num_agents,
+            num_uavs,
+            obs_dim,
+            snapshot: None,
+            learn,
             rng,
             iterations_done: 0,
             planned_iterations: planned_iterations.max(1),
@@ -248,7 +316,7 @@ impl HiMadrlTrainer {
 
     /// Current LCFs (per UV).
     pub fn lcfs(&self) -> &[Lcf] {
-        &self.learn.lcfs
+        &self.learn.models.lcfs
     }
 
     /// Mean `(φ, χ)` in degrees over UAVs and UGVs separately — the
@@ -264,7 +332,8 @@ impl HiMadrlTrainer {
                 slice.iter().map(|l| l.degrees().1).sum::<f32>() / n,
             )
         };
-        (mean(&self.learn.lcfs[..self.num_uavs]), mean(&self.learn.lcfs[self.num_uavs..]))
+        let lcfs = &self.learn.models.lcfs;
+        (mean(&lcfs[..self.num_uavs]), mean(&lcfs[self.num_uavs..]))
     }
 
     fn agent_idx(&self, k: usize) -> usize {
@@ -277,7 +346,7 @@ impl HiMadrlTrainer {
 
     /// Greedy (mean) action for UV `k` — decentralised execution.
     pub fn policy_action(&self, k: usize, obs: &[f32]) -> UvAction {
-        let a = self.learn.agents[self.agent_idx(k)].act_deterministic(obs);
+        let a = self.learn.models.agents[self.agent_idx(k)].act_deterministic(obs);
         UvAction { heading: a[0] as f64, speed: a[1] as f64 }
     }
 
@@ -333,19 +402,16 @@ impl HiMadrlTrainer {
     /// The actors, borrowed: what collection and the dist parameter
     /// broadcast need, without the critics or optimiser state.
     pub fn actor_set(&self) -> ActorSet<'_> {
-        let actors = self
-            .learn
-            .agents
-            .iter()
-            .map(|a| ActorRef { net: a.actor(), log_std: a.log_std() })
-            .collect();
-        let shape = FleetShape {
+        actor_set(&self.learn.models.agents, self.fleet_shape())
+    }
+
+    fn fleet_shape(&self) -> FleetShape {
+        FleetShape {
             shared: self.cfg.shared_params,
             obs_dim: self.obs_dim,
             num_agents: self.num_agents,
             neighbor_range_m: self.neighbor_range,
-        };
-        ActorSet::new(actors, shape)
+        }
     }
 
     /// Current ω_in under the schedule.
@@ -386,34 +452,51 @@ impl HiMadrlTrainer {
         rollouts: Vec<Rollout>,
         train_metrics: Metrics,
     ) -> IterationStats {
-        self.run_iteration(|_| (rollouts, train_metrics))
+        self.run_iteration(Batch::Given(rollouts, train_metrics))
     }
 
     /// One iteration on `envs` (global env indices `0..envs.len()`): one
     /// batch-seed draw, collection, and the update on the mean task metrics.
     fn train_iteration_envs(&mut self, envs: &mut [AirGroundEnv]) -> IterationStats {
-        self.run_iteration(|t| {
-            let batch_seed = t.next_batch_seed();
-            let rollouts = t.actor_set().collect(envs, batch_seed, 0, t.cfg.rollout_workers);
-            let metrics: Vec<Metrics> = envs.iter().map(AirGroundEnv::metrics).collect();
-            (rollouts, Metrics::mean(&metrics))
-        })
+        let batch_seed = self.next_batch_seed();
+        self.run_iteration(Batch::Collect(envs, batch_seed))
     }
 
-    /// The one iteration driver: runs `source` for the rollouts and their
-    /// task metrics, then the update, all inside the `train_iteration` span,
-    /// and publishes `train.samples_per_sec` and the iteration's GEMM FLOPs
-    /// when telemetry is on.
-    fn run_iteration(
-        &mut self,
-        source: impl FnOnce(&mut Self) -> (Vec<Rollout>, Metrics),
-    ) -> IterationStats {
+    /// The one iteration driver: gets the rollouts and their task metrics
+    /// from `batch`, then runs the update, all inside the
+    /// `train_iteration` span, and publishes `train.samples_per_sec` and the
+    /// iteration's GEMM FLOPs when telemetry is on.
+    ///
+    /// Collection only reads the actors, so a helper thread refills the
+    /// NaN guard's snapshot beside it; rollouts collected elsewhere leave
+    /// the snapshot to the update's first stage.
+    fn run_iteration(&mut self, batch: Batch<'_>) -> IterationStats {
         let _span = tlm::span("train_iteration");
         let started = tlm::is_enabled().then(std::time::Instant::now);
         let flops0 = iteration_flops_start(&started);
-        let (rollouts, train_metrics) = source(self);
+        let workers = resolve_workers(self.cfg.rollout_workers, self.learn.models.agents.len());
+        let (rollouts, train_metrics, snapshotted) = match batch {
+            Batch::Collect(envs, batch_seed) => {
+                let shape = self.fleet_shape();
+                let Self { learn, snapshot, cfg, .. } = self;
+                let learn = &*learn;
+                let (_, (rollouts, metrics)) = fork(
+                    workers > 1,
+                    || cfg.nan_guard.then(|| refill(snapshot, learn)),
+                    || {
+                        let actors = actor_set(&learn.models.agents, shape);
+                        let rollouts = actors.collect(envs, batch_seed, 0, cfg.rollout_workers);
+                        let metrics: Vec<Metrics> =
+                            envs.iter().map(AirGroundEnv::metrics).collect();
+                        (rollouts, Metrics::mean(&metrics))
+                    },
+                );
+                (rollouts, metrics, true)
+            }
+            Batch::Given(rollouts, metrics) => (rollouts, metrics, false),
+        };
         let samples: usize = rollouts.iter().map(Rollout::len).sum::<usize>() * self.num_agents;
-        let stats = self.update_from_rollouts(rollouts, train_metrics);
+        let stats = self.update_from_rollouts(rollouts, train_metrics, snapshotted, workers);
         if let Some(t0) = started {
             let secs = t0.elapsed().as_secs_f64().max(1e-9);
             tlm::gauge_set("train.samples_per_sec", samples as f64 / secs);
@@ -423,14 +506,18 @@ impl HiMadrlTrainer {
     }
 
     /// The update half of one training iteration, [`Learnables::update`] on
-    /// the given per-replica rollouts concatenated in order, and the NaN
-    /// guard's one exit: an update stopped by a non-finite value is rolled
-    /// back to the learnables as they were before it. Episode boundaries are
-    /// respected everywhere advantages are estimated ([`gae_segmented`]).
+    /// the given per-replica rollouts concatenated in order on `workers`
+    /// threads, and the NaN guard's one exit: an update stopped by a
+    /// non-finite value is rolled back to the learnables as they were
+    /// before it (the snapshot, which the update refills unless it is
+    /// already `snapshotted`). Episode boundaries are respected everywhere
+    /// advantages are estimated ([`gae_segmented`]).
     fn update_from_rollouts(
         &mut self,
         rollouts: Vec<Rollout>,
         train_metrics: Metrics,
+        snapshotted: bool,
+        workers: usize,
     ) -> IterationStats {
         let rollout = Rollout::concat(rollouts);
         let mut stats = IterationStats {
@@ -440,19 +527,17 @@ impl HiMadrlTrainer {
             train_metrics,
             ..IterationStats::default()
         };
-        // Snapshot everything the optimisers touch so a poisoned iteration
-        // can roll back instead of corrupting the rest of the run.
-        let snapshot = self.cfg.nan_guard.then(|| self.learn.clone());
-        let w = self.intrinsic_weight();
-        if self.learn.update(&self.cfg, &rollout, w, &mut stats).is_err() {
+        let run = Run { cfg: &self.cfg, rollout: &rollout, w: self.intrinsic_weight(), workers };
+        let snapshot = (self.cfg.nan_guard && !snapshotted).then_some(&mut self.snapshot);
+        if self.learn.update(&run, snapshot, &mut stats).is_err() {
             stats.update_skipped = true;
             stats.nan_events = 1;
-            if let Some(snapshot) = snapshot {
-                self.learn = snapshot;
+            if let Some(snapshot) = self.snapshot.as_mut() {
+                std::mem::swap(&mut self.learn, snapshot);
             }
         }
         self.iterations_done += 1;
-        stats.lcf_degrees = self.learn.lcfs.iter().map(Lcf::degrees).collect();
+        stats.lcf_degrees = self.learn.models.lcfs.iter().map(Lcf::degrees).collect();
         self.emit_iteration_telemetry(&stats);
         stats
     }
@@ -561,16 +646,16 @@ impl HiMadrlTrainer {
 
     /// Snapshot every learnable component into a [`crate::checkpoint::Checkpoint`].
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        let learn = &self.learn;
+        let models = &self.learn.models;
         crate::checkpoint::Checkpoint {
             version: crate::checkpoint::CHECKPOINT_VERSION,
             config: self.cfg.clone(),
-            agents: learn.agents.clone(),
-            classifier: learn.classifier.clone(),
-            v_all: learn.v_all.clone(),
-            lcfs: learn.lcfs.clone(),
-            stat_own: learn.stat_own.clone(),
-            stat_all: learn.stat_all.clone(),
+            agents: models.agents.clone(),
+            classifier: self.learn.classifier.clone(),
+            v_all: models.v_all.clone(),
+            lcfs: models.lcfs.clone(),
+            stat_own: models.stat_own.clone(),
+            stat_all: models.stat_all.clone(),
             iterations_done: self.iterations_done,
             num_agents: self.num_agents,
             num_uavs: self.num_uavs,
@@ -586,20 +671,24 @@ impl HiMadrlTrainer {
     pub fn restore(ckpt: &crate::checkpoint::Checkpoint, seed: u64) -> Result<Self, TrainError> {
         ckpt.validate()?;
         ckpt.config.validate().map_err(TrainError::InvalidConfig)?;
-        Ok(Self {
-            cfg: ckpt.config.clone(),
-            num_agents: ckpt.num_agents,
-            num_uavs: ckpt.num_uavs,
-            obs_dim: ckpt.obs_dim,
-            learn: Learnables {
+        let learn = Learnables {
+            classifier: ckpt.classifier.clone(),
+            models: Models {
                 agents: ckpt.agents.clone(),
-                classifier: ckpt.classifier.clone(),
                 v_all: ckpt.v_all.clone(),
                 v_all_opt: Adam::new(ckpt.config.critic_lr),
                 lcfs: ckpt.lcfs.clone(),
                 stat_own: ckpt.stat_own.clone(),
                 stat_all: ckpt.stat_all.clone(),
             },
+        };
+        Ok(Self {
+            cfg: ckpt.config.clone(),
+            num_agents: ckpt.num_agents,
+            num_uavs: ckpt.num_uavs,
+            obs_dim: ckpt.obs_dim,
+            snapshot: None,
+            learn,
             rng: ChaCha8Rng::seed_from_u64(seed),
             iterations_done: ckpt.iterations_done,
             planned_iterations: ckpt.iterations_done.max(1),
@@ -633,40 +722,62 @@ impl HiMadrlTrainer {
 
 impl Learnables {
     /// Algorithm 1's update (lines 12-23) on one batch of rollouts, with
-    /// intrinsic-reward weight `w`. Each phase records its diagnostics in
-    /// `stats`; the first non-finite value the NaN guard catches stops the
-    /// update part-way, for the caller to roll back.
+    /// intrinsic-reward weight `w`, on `workers` threads (DESIGN.md §12).
+    /// Refills `snapshot`, when given, with the learnables as they were
+    /// before the update. Each phase records its diagnostics in `stats`; the
+    /// first non-finite value the NaN guard catches stops the update
+    /// part-way, for the caller to roll back.
     fn update(
         &mut self,
-        cfg: &TrainConfig,
-        rollout: &Rollout,
-        w: f32,
+        run: &Run<'_>,
+        snapshot: Option<&mut Option<Learnables>>,
         stats: &mut IterationStats,
     ) -> Result<(), NonFinite> {
-        // Line 12: classifier update.
-        let identity_probs = self.eoi_update(&rollout.obs, stats);
-        // Line 16: compound rewards (Eqn 19).
-        let rewards = compound_rewards(rollout, identity_probs.as_ref(), w, stats);
-        guard(cfg.nan_guard, || rewards.iter().all(|r| all_finite(r)))?;
-        // Line 13: the behaviour policies, frozen for the meta step.
-        let old_policies: Vec<BehaviourPolicy> = if cfg.ablation.use_copo && cfg.lcf_epochs > 0 {
-            self.agents.iter().map(PpoAgent::behaviour_policy).collect()
-        } else {
-            Vec::new()
+        let (cfg, rollout) = (run.cfg, run.rollout);
+        let (snap_classifier, snap_models) = match snapshot {
+            Some(Some(s)) => (Some(&mut s.classifier), Some(&mut s.models)),
+            Some(none) => {
+                refill(none, self);
+                (None, None)
+            }
+            None => (None, None),
         };
-        let inputs = AgentInputs::new(cfg, rollout, rewards, self.agents.len());
-        // Lines 14-20: M1 policy epochs.
-        let last_adv = self.ppo_epochs(&inputs, stats)?;
-        // Line 20: the overall value network on r_all.
-        let adv_all = self.v_all_update(&inputs)?;
-        // Lines 21-23: M2 LCF meta epochs (Eqns 30-32).
-        if !old_policies.is_empty() {
-            self.lcf_meta_gradient(&inputs, old_policies, adv_all, last_adv);
-        }
+        let Learnables { classifier, models } = self;
+        // While the caller fits the classifier (line 12), a helper runs
+        // every agent's epoch-0 critic forwards: they need no rewards, and
+        // with one parameter set per agent nothing moves a critic before
+        // its epoch-0 step. A snapshot still to refill is split between
+        // them: the helper copies the models first, the caller the
+        // classifier.
+        let (pre, identity_probs) = fork(
+            run.workers > 1,
+            || {
+                if let Some(s) = snap_models {
+                    s.clone_from(models);
+                }
+                (!cfg.shared_params).then(|| {
+                    let _s = tlm::span("ppo_epochs");
+                    let agents = models.agents.iter_mut().enumerate();
+                    agents.map(|(k, agent)| critic_forwards(cfg, rollout, agent, k)).collect()
+                })
+            },
+            || {
+                if let Some(s) = snap_classifier {
+                    s.clone_from(classifier);
+                }
+                eoi_update(classifier.as_mut(), &rollout.obs, stats)
+            },
+        );
+        // Line 16: compound rewards (Eqn 19).
+        let rewards = compound_rewards(rollout, identity_probs.as_ref(), run.w, stats);
+        guard(cfg.nan_guard, || rewards.iter().all(|r| all_finite(r)))?;
+        // Lines 13-23: the policy epochs, V_all and the LCF meta epochs.
+        let inputs = AgentInputs::new(cfg, rollout, rewards);
+        inputs.train_agents(models, pre, run.workers, stats)?;
         // Post-update sanity: a non-finite LCF or PPO statistic means the
         // parameters themselves went bad.
         guard(cfg.nan_guard, || {
-            let lcf_ok = self.lcfs.iter().all(|l| {
+            let lcf_ok = models.lcfs.iter().all(|l| {
                 let (phi, chi) = l.degrees();
                 phi.is_finite() && chi.is_finite()
             });
@@ -677,181 +788,48 @@ impl Learnables {
                 && ppo.entropy.is_finite()
         })
     }
+}
 
-    /// Line 12: one classifier pass over every agent's observations stacked
-    /// in agent order; returns the updated classifier's identity
-    /// probabilities on them (`None` without i-EOI).
-    fn eoi_update(&mut self, obs: &[Matrix], stats: &mut IterationStats) -> Option<Matrix> {
-        let classifier = self.classifier.as_mut()?;
-        let _s = tlm::span("eoi_update");
-        // Uniform per-agent sampling: concatenate everything (same count per
-        // agent by construction).
-        let all_obs = Matrix::vstack(&obs.iter().collect::<Vec<_>>());
-        let labels: Vec<usize> =
-            obs.iter().enumerate().flat_map(|(k, o)| std::iter::repeat_n(k, o.rows())).collect();
-        stats.classifier_loss = classifier.fit(&all_obs, &labels, CLASSIFIER_MINIBATCHES);
-        // One forward of the updated classifier serves both the accuracy and
-        // the intrinsic rewards: rows are independent.
-        let probs = classifier.predict(&all_obs);
-        stats.classifier_accuracy = EoiClassifier::accuracy(&probs, &labels);
-        Some(probs)
+/// Make `snapshot` a copy of `learn`: a clone the first time, then
+/// refilled in place.
+fn refill(snapshot: &mut Option<Learnables>, learn: &Learnables) {
+    match snapshot {
+        Some(s) => s.clone_from(learn),
+        None => *snapshot = Some(learn.clone()),
     }
+}
 
-    /// Lines 14-20: `M1` policy epochs on the cooperation-aware advantages
-    /// (Eqns 27-28). Records the final epoch's fleet means in `stats` and
-    /// returns each agent's final-epoch `[A, A_HE, A_HO]` for the meta step
-    /// (they depend on critics, which keep updating).
-    fn ppo_epochs(
-        &mut self,
-        inputs: &AgentInputs,
-        stats: &mut IterationStats,
-    ) -> Result<Vec<[Vec<f32>; 3]>, NonFinite> {
-        let cfg = inputs.cfg;
-        let num_agents = inputs.obs.len();
-        let mut last_adv: Vec<[Vec<f32>; 3]> = vec![Default::default(); num_agents];
-        // Final-epoch learning-health aggregates, pooled over agents (f64
-        // accumulators; observation-only — nothing feeds back): the PPO
-        // ratio, clip fraction, entropy, KL and grad norm and the own
-        // critic's loss and grad norm; and Σa, Σa², Σret, Σret², Σ(ret−v),
-        // Σ(ret−v)² over the raw cooperation-aware advantages.
-        let mut step_sums = [0.0f64; 7];
-        let mut moments = [0.0f64; 6];
-        let span = tlm::span("ppo_epochs");
-        for epoch in 0..cfg.policy_epochs {
-            let is_final = epoch + 1 == cfg.policy_epochs;
-            for wave in &inputs.waves {
-                let agents = &mut self.agents[inputs.params_of(wave)];
-                // Phase A, parallel: critic values, neighbourhood GAE.
-                let passes = scoped_map(inputs.workers, agents, |j, agent| {
-                    inputs.critic_pass(agent, wave.start + j)
-                });
+/// One update's fixed inputs.
+struct Run<'a> {
+    cfg: &'a TrainConfig,
+    rollout: &'a Rollout,
+    /// The intrinsic-reward weight ω_in.
+    w: f32,
+    /// Threads for the update, one parameter set or more each.
+    workers: usize,
+}
 
-                // Phase B, serial in agent order: everything that reads or
-                // advances the shared value-norm statistics.
-                let mut steps = Vec::with_capacity(wave.len());
-                for (k, pass) in wave.clone().zip(passes) {
-                    // Individual advantage (Eqn 24 generalised by GAE).
-                    let (adv, ret, v) =
-                        inputs.value_gae(&self.stat_own, &inputs.rewards[k], pass.own.values());
-                    let [adv_he, adv_ho] = pass.neighbor_adv;
-
-                    // Cooperation-aware advantage (Eqn 27).
-                    let mut a_co: Vec<f32> = if cfg.ablation.use_copo {
-                        (0..adv.len())
-                            .map(|t| self.lcfs[k].coop_advantage(adv[t], adv_he[t], adv_ho[t]))
-                            .collect()
-                    } else {
-                        adv.clone()
-                    };
-                    guard(cfg.nan_guard, || {
-                        all_finite(&adv)
-                            && all_finite(&adv_he)
-                            && all_finite(&adv_ho)
-                            && all_finite(&a_co)
-                    })?;
-                    if is_final {
-                        for t in 0..adv.len() {
-                            let (a, r, e) = (a_co[t] as f64, ret[t] as f64, (ret[t] - v[t]) as f64);
-                            for (m, x) in moments.iter_mut().zip([a, a * a, r, r * r, e, e * e]) {
-                                *m += x;
-                            }
-                        }
-                    }
-                    normalize_advantages(&mut a_co);
-
-                    // Own-critic targets (Eqn 26).
-                    let own_targets = inputs.value_targets(&mut self.stat_own, ret);
-                    last_adv[k] = [adv, adv_he, adv_ho];
-                    steps.push(PolicyStep {
-                        a_co,
-                        own: (pass.own, own_targets),
-                        neighbors: pass.neighbors,
-                    });
-                }
-
-                // Phase C, parallel: policy and critic steps.
-                let mut jobs: Vec<_> = agents.iter_mut().zip(steps).collect();
-                let step_stats = scoped_map(inputs.workers, &mut jobs, |j, (agent, step)| {
-                    inputs.policy_step(agent, wave.start + j, step)
-                });
-                if is_final {
-                    for (p, own) in step_stats {
-                        let xs = [p.mean_ratio, p.clip_fraction, p.entropy, p.approx_kl];
-                        let xs = xs.into_iter().chain([p.grad_norm, own.loss, own.grad_norm]);
-                        for (sum, x) in step_sums.iter_mut().zip(xs) {
-                            *sum += x as f64;
-                        }
-                    }
-                }
-            }
-        }
-        drop(span);
-
-        // Reduce the final-epoch aggregates to fleet means.
-        let [mean_ratio, clip_fraction, entropy, approx_kl, grad_norm, value_loss, critic_grad] =
-            step_sums.map(|sum| (sum / num_agents as f64) as f32);
-        stats.ppo = PpoStats { mean_ratio, clip_fraction, entropy, approx_kl, grad_norm };
-        stats.value_loss = value_loss;
-        stats.critic_grad_norm = critic_grad;
-        let n = (num_agents * inputs.state.rows()) as f64;
-        if n > 0.0 {
-            let [sa, sa2, sr, sr2, se, se2] = moments;
-            let var = |s: f64, sq: f64| (sq / n - (s / n) * (s / n)).max(0.0);
-            stats.advantage_mean = (sa / n) as f32;
-            stats.advantage_std = var(sa, sa2).sqrt() as f32;
-            let var_ret = var(sr, sr2);
-            stats.explained_variance =
-                if var_ret > 1e-12 { (1.0 - var(se, se2) / var_ret) as f32 } else { 0.0 };
-        }
-        Ok(last_adv)
-    }
-
-    /// Line 20: one regression step of the overall value network on the
-    /// fleet reward `r_all`; returns the overall advantage.
-    fn v_all_update(&mut self, inputs: &AgentInputs) -> Result<Vec<f32>, NonFinite> {
-        let _s = tlm::span("v_all_update");
-        let r_all: Vec<f32> =
-            (0..inputs.state.rows()).map(|t| inputs.rewards.iter().map(|r| r[t]).sum()).collect();
-        // The training forward gives the values GAE needs and the
-        // activations the regression step below backpropagates.
-        let pred = self.v_all.forward(inputs.state);
-        let (adv_all, ret_all, _) = inputs.value_gae(&self.stat_all, &r_all, pred.as_slice());
-        guard(inputs.cfg.nan_guard, || all_finite(&adv_all) && all_finite(&ret_all))?;
-        let targets = inputs.value_targets(&mut self.stat_all, ret_all);
-        self.v_all.zero_grad();
-        let target = Matrix::from_vec(targets.len(), 1, targets);
-        let (_, grad) = agsc_nn::loss::mse(&pred, &target);
-        self.v_all.backward_params(&grad);
-        self.v_all.clip_grad_norm(inputs.cfg.max_grad_norm);
-        self.v_all_opt.step(&mut self.v_all.params_mut());
-        Ok(adv_all)
-    }
-
-    /// Lines 21-23: `M2` meta epochs on every agent's LCF (Eqns 30-32), from
-    /// the overall advantage and each agent's final-epoch advantages.
-    fn lcf_meta_gradient(
-        &mut self,
-        inputs: &AgentInputs,
-        mut old_policies: Vec<BehaviourPolicy>,
-        mut adv_all: Vec<f32>,
-        last_adv: Vec<[Vec<f32>; 3]>,
-    ) {
-        let _s = tlm::span("lcf_meta_gradient");
-        normalize_advantages(&mut adv_all);
-        // No agent's meta step reads another agent's LCF, so each agent runs
-        // all its meta epochs as one job.
-        for wave in &inputs.waves {
-            let mut jobs: Vec<_> = self.agents[inputs.params_of(wave)]
-                .iter_mut()
-                .zip(&mut old_policies[inputs.params_of(wave)])
-                .zip(&mut self.lcfs[wave.clone()])
-                .collect();
-            scoped_map(inputs.workers, &mut jobs, |j, ((agent, old), lcf)| {
-                let k = wave.start + j;
-                inputs.lcf_meta_step(agent, old, lcf, k, &adv_all, &last_adv[k]);
-            });
-        }
-    }
+/// Line 12: one classifier pass over every agent's observations stacked
+/// in agent order; returns the updated classifier's identity
+/// probabilities on them (`None` without i-EOI).
+fn eoi_update(
+    classifier: Option<&mut EoiClassifier>,
+    obs: &[Matrix],
+    stats: &mut IterationStats,
+) -> Option<Matrix> {
+    let classifier = classifier?;
+    let _s = tlm::span("eoi_update");
+    // Uniform per-agent sampling: concatenate everything (same count per
+    // agent by construction).
+    let all_obs = Matrix::vstack(&obs.iter().collect::<Vec<_>>());
+    let labels: Vec<usize> =
+        obs.iter().enumerate().flat_map(|(k, o)| std::iter::repeat_n(k, o.rows())).collect();
+    stats.classifier_loss = classifier.fit(&all_obs, &labels, CLASSIFIER_MINIBATCHES);
+    // One forward of the updated classifier serves both the accuracy and
+    // the intrinsic rewards: rows are independent.
+    let probs = classifier.predict(&all_obs);
+    stats.classifier_accuracy = EoiClassifier::accuracy(&probs, &labels);
+    Some(probs)
 }
 
 /// Line 16: compound rewards (Eqn 19), extrinsic plus `w`-weighted identity
@@ -899,54 +877,119 @@ fn compound_rewards(
     rewards
 }
 
-/// Read-only inputs of one update, shared by the phases of
-/// [`Learnables::update`] and the per-agent jobs they run on worker threads.
+/// Agent `k`'s individual critic input: its observations, or the global
+/// state under the centralised critic.
+fn critic_input<'r>(cfg: &TrainConfig, rollout: &'r Rollout, k: usize) -> &'r Matrix {
+    if cfg.centralized_critic {
+        &rollout.states
+    } else {
+        &rollout.obs[k]
+    }
+}
+
+/// One agent's critic forwards for one epoch: the own critic's, and with
+/// h-CoPO the two neighbourhood critics'.
+struct CriticForwards<'r> {
+    own: CriticForward<'r>,
+    neighbors: Option<[CriticForward<'r>; 2]>,
+}
+
+/// Agent `k`'s critic forwards on the rollout (the training forwards,
+/// whose cached activations its critic steps backpropagate from).
+fn critic_forwards<'r>(
+    cfg: &TrainConfig,
+    rollout: &'r Rollout,
+    agent: &mut PpoAgent,
+    k: usize,
+) -> CriticForwards<'r> {
+    let own = agent.critic_forward(critic_input(cfg, rollout, k), CriticKind::Own);
+    let neighbors = cfg.ablation.use_copo.then(|| {
+        let obs = &rollout.obs[k];
+        [
+            agent.critic_forward(obs, CriticKind::Heterogeneous),
+            agent.critic_forward(obs, CriticKind::Homogeneous),
+        ]
+    });
+    CriticForwards { own, neighbors }
+}
+
+/// Read-only inputs of one update, shared by the per-agent jobs of
+/// [`AgentInputs::train_agents`] on every worker thread.
 struct AgentInputs<'a> {
     cfg: &'a TrainConfig,
-    obs: &'a [Matrix],
-    actions: &'a [Matrix],
-    log_probs: &'a [Vec<f32>],
-    state: &'a Matrix,
+    rollout: &'a Rollout,
     segments: Vec<usize>,
     /// Per agent, the compound rewards (Eqn 19).
     rewards: Vec<Vec<f32>>,
     /// Per agent `[r_HE, r_HO]` (Eqn 23); empty without h-CoPO.
     neighbor_rewards: Vec<[Vec<f32>; 2]>,
-    /// The agents in update order, one wave of parallel jobs each.
-    waves: Vec<Range<usize>>,
-    /// Worker threads per wave: one job per parameter set.
-    workers: usize,
 }
 
 /// One agent's critic pass (phase A of a policy epoch).
-struct CriticPass {
+struct CriticPass<'r> {
     /// The own critic's forward; its values are still value-normalised.
-    own: CriticForward,
+    own: CriticForward<'r>,
     /// `[A_HE, A_HO]`; zeros without h-CoPO.
     neighbor_adv: [Vec<f32>; 2],
     /// The neighbourhood critics' forwards with their targets
     /// `[R_HE, R_HO]`; `None` without h-CoPO.
-    neighbors: Option<[(CriticForward, Vec<f32>); 2]>,
+    neighbors: Option<[(CriticForward<'r>, Vec<f32>); 2]>,
 }
 
 /// What phase B hands one agent's policy and critic steps (phase C).
-struct PolicyStep {
+struct PolicyStep<'r> {
     /// Normalised cooperation-aware advantage (Eqn 27).
     a_co: Vec<f32>,
     /// The own critic's forward from phase A and its targets.
-    own: (CriticForward, Vec<f32>),
-    neighbors: Option<[(CriticForward, Vec<f32>); 2]>,
+    own: (CriticForward<'r>, Vec<f32>),
+    neighbors: Option<[(CriticForward<'r>, Vec<f32>); 2]>,
 }
+
+/// The state phase B shares between the update's workers; it changes only
+/// in turn ([`Turns`]), agent after agent, epoch after epoch.
+struct PhaseB<'m> {
+    /// The own critics' value normaliser.
+    stat_own: &'m mut RunningStat,
+    /// Final-epoch Σa, Σa², Σret, Σret², Σ(ret−v), Σ(ret−v)² over the raw
+    /// cooperation-aware advantages (f64, observation-only).
+    moments: [f64; 6],
+    /// V_all's normalised overall advantage, once the first shard has run
+    /// V_all.
+    overall: Overall,
+}
+
+/// Where V_all's overall advantage stands.
+enum Overall {
+    Pending,
+    /// The NaN guard caught a non-finite advantage or return.
+    Failed,
+    Ready(Vec<f32>),
+}
+
+/// A shard job's exit when the board stopped: a peer's NaN-guard failure
+/// or panic, or its own NaN-guard failure.
+struct Stopped;
+
+/// One worker's agents and the state only they touch.
+struct Shard<'m, 'r> {
+    agents: Range<usize>,
+    /// Their parameter sets: one per agent, or the one shared set.
+    params: &'m mut [PpoAgent],
+    lcfs: &'m mut [Lcf],
+    /// Their epoch-0 critic forwards, when computed ahead.
+    pre: Vec<Option<CriticForwards<'r>>>,
+    /// V_all, its optimiser and value normaliser: the first shard's job.
+    v_all: Option<(&'m mut Mlp, &'m mut Adam, &'m mut RunningStat)>,
+}
+
+/// Per agent of a shard, in agent order, the final epoch's policy and
+/// own-critic stats.
+type FinalStats = Vec<(PpoStats, CriticStats)>;
 
 impl<'a> AgentInputs<'a> {
     /// The update's inputs from the batch `rollout` and its compound
-    /// `rewards`, for `param_sets` parameter sets.
-    fn new(
-        cfg: &'a TrainConfig,
-        rollout: &'a Rollout,
-        rewards: Vec<Vec<f32>>,
-        param_sets: usize,
-    ) -> Self {
+    /// `rewards`.
+    fn new(cfg: &'a TrainConfig, rollout: &'a Rollout, rewards: Vec<Vec<f32>>) -> Self {
         let num_agents = rollout.num_agents();
         // Eqn 23 reads only the rollout and the compound rewards, so the
         // neighbourhood rewards are built once per iteration.
@@ -957,39 +1000,208 @@ impl<'a> AgentInputs<'a> {
         } else {
             Vec::new()
         };
-        Self {
-            cfg,
-            obs: &rollout.obs,
-            actions: &rollout.actions,
-            log_probs: &rollout.log_probs,
-            state: &rollout.states,
-            segments: rollout.segments(),
-            rewards,
-            neighbor_rewards,
-            // Each agent's update is independent of the others' except
-            // through `stat_own`, so agents run in parallel in one wave. A
-            // shared parameter set must see each agent's step before the
-            // next agent's, so then every agent is a wave of its own.
-            waves: shard_ranges(num_agents, if cfg.shared_params { num_agents } else { 1 }),
-            workers: resolve_workers(cfg.rollout_workers, param_sets),
+        Self { cfg, rollout, segments: rollout.segments(), rewards, neighbor_rewards }
+    }
+
+    /// Lines 13-23 on `workers` threads: every agent's `M1` policy epochs
+    /// on the cooperation-aware advantages (Eqns 27-28), the overall value
+    /// network (line 20), and every agent's `M2` LCF meta epochs (Eqns
+    /// 30-32). `pre` holds each agent's epoch-0 critic forwards when they
+    /// were run ahead. Records the final epoch's fleet means in `stats`.
+    ///
+    /// Each worker takes a contiguous shard of agents through all its
+    /// epochs with no barrier, then its LCF steps; the first shard's worker
+    /// also runs V_all. Phase B, which advances the shared `stat_own`, runs
+    /// in agent order across the workers through a [`Turns`] board. A
+    /// NaN-guard failure or a panic on any worker stops the board, which
+    /// releases every waiting worker; a panic is then re-raised here.
+    fn train_agents(
+        &self,
+        models: &mut Models,
+        pre: Option<Vec<CriticForwards<'a>>>,
+        workers: usize,
+        stats: &mut IterationStats,
+    ) -> Result<(), NonFinite> {
+        let num_agents = self.rollout.num_agents();
+        let Models { agents, v_all, v_all_opt, lcfs, stat_own, stat_all } = models;
+        let mut pre: Vec<_> = pre.into_iter().flatten().map(Some).collect();
+        let mut v_all = Some((v_all, v_all_opt, stat_all));
+        let (mut params, mut lcfs) = (&mut agents[..], &mut lcfs[..]);
+        let mut shards = Vec::new();
+        for range in balanced_ranges(num_agents, workers) {
+            let own = if self.cfg.shared_params { params.len() } else { range.len() };
+            let (shard_params, rest) = std::mem::take(&mut params).split_at_mut(own);
+            params = rest;
+            let (shard_lcfs, rest) = std::mem::take(&mut lcfs).split_at_mut(range.len());
+            lcfs = rest;
+            let shard_pre = pre.drain(..range.len().min(pre.len())).collect();
+            shards.push(Shard {
+                agents: range,
+                params: shard_params,
+                lcfs: shard_lcfs,
+                pre: shard_pre,
+                v_all: v_all.take(),
+            });
+        }
+        let board = Turns::new(PhaseB { stat_own, moments: [0.0; 6], overall: Overall::Pending });
+        let run = |shard: Shard<'_, 'a>| {
+            let _stop = board.stop_on_panic();
+            self.run_shard(shard, &board)
+        };
+        let ctx = tlm::span_context();
+        let outcomes = std::thread::scope(|scope| {
+            let mut shards = shards.into_iter();
+            let first = shards.next().expect("at least one shard");
+            let handles: Vec<_> =
+                shards.map(|s| scope.spawn(|| worker_job(&ctx, || run(s)))).collect();
+            let mut outcomes = vec![catch_unwind(AssertUnwindSafe(|| run(first)))];
+            outcomes.extend(handles.into_iter().map(|h| h.join()));
+            outcomes
+        });
+        let mut finals = Vec::with_capacity(num_agents);
+        for outcome in outcomes {
+            match outcome {
+                Ok(Ok(shard_finals)) => finals.extend(shard_finals),
+                Ok(Err(Stopped)) => {}
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        let (PhaseB { moments, overall, .. }, stopped) = board.into_inner();
+        if stopped {
+            return Err(NonFinite);
+        }
+
+        // Reduce the final-epoch aggregates to fleet means, in agent order:
+        // the PPO ratio, clip fraction, entropy, KL and grad norm and the
+        // own critic's loss and grad norm.
+        let mut step_sums = [0.0f64; 7];
+        for (p, own) in finals {
+            let xs = [p.mean_ratio, p.clip_fraction, p.entropy, p.approx_kl];
+            let xs = xs.into_iter().chain([p.grad_norm, own.loss, own.grad_norm]);
+            for (sum, x) in step_sums.iter_mut().zip(xs) {
+                *sum += x as f64;
+            }
+        }
+        let [mean_ratio, clip_fraction, entropy, approx_kl, grad_norm, value_loss, critic_grad] =
+            step_sums.map(|sum| (sum / num_agents as f64) as f32);
+        stats.ppo = PpoStats { mean_ratio, clip_fraction, entropy, approx_kl, grad_norm };
+        stats.value_loss = value_loss;
+        stats.critic_grad_norm = critic_grad;
+        let n = (num_agents * self.rollout.states.rows()) as f64;
+        if n > 0.0 {
+            let [sa, sa2, sr, sr2, se, se2] = moments;
+            let var = |s: f64, sq: f64| (sq / n - (s / n) * (s / n)).max(0.0);
+            stats.advantage_mean = (sa / n) as f32;
+            stats.advantage_std = var(sa, sa2).sqrt() as f32;
+            let var_ret = var(sr, sr2);
+            stats.explained_variance =
+                if var_ret > 1e-12 { (1.0 - var(se, se2) / var_ret) as f32 } else { 0.0 };
+        }
+        match overall {
+            Overall::Failed => Err(NonFinite),
+            _ => Ok(()),
         }
     }
 
-    /// The parameter sets a wave steps: its agents' own, or the shared one.
-    fn params_of(&self, wave: &Range<usize>) -> Range<usize> {
-        if self.cfg.shared_params {
-            0..1
+    /// One worker's job: its shard's policy epochs, V_all when it holds
+    /// it, then its LCF meta epochs once V_all's advantage is ready.
+    fn run_shard(
+        &self,
+        shard: Shard<'_, 'a>,
+        board: &Turns<PhaseB<'_>>,
+    ) -> Result<FinalStats, Stopped> {
+        let cfg = self.cfg;
+        let num_agents = self.rollout.num_agents();
+        let Shard { agents, params, lcfs, mut pre, v_all } = shard;
+        let at = |k: usize| k - agents.start;
+        let param = |k: usize| if cfg.shared_params { 0 } else { at(k) };
+        // Line 13: the behaviour policies, frozen for the meta step.
+        let meta = cfg.ablation.use_copo && cfg.lcf_epochs > 0;
+        let mut old_policies: Vec<BehaviourPolicy> =
+            if meta { params.iter().map(PpoAgent::behaviour_policy).collect() } else { Vec::new() };
+        // Agents with their own parameters run each phase for the whole
+        // shard at once. A shared parameter set must see each agent's step
+        // before the next agent's forward, so then every agent is a group
+        // of its own: exactly the one-agent-at-a-time loop.
+        let groups: Vec<Range<usize>> = if cfg.shared_params {
+            agents.clone().map(|k| k..k + 1).collect()
         } else {
-            wave.clone()
+            vec![agents.clone()]
+        };
+        let mut finals = Vec::with_capacity(agents.len());
+        let mut last_adv: Vec<[Vec<f32>; 3]> = vec![Default::default(); agents.len()];
+        let span = tlm::span("ppo_epochs");
+        // Lines 14-20: M1 policy epochs.
+        for epoch in 0..cfg.policy_epochs {
+            let is_final = epoch + 1 == cfg.policy_epochs;
+            for group in &groups {
+                // Phase A: critic values, neighbourhood GAE.
+                let passes: Vec<_> = group
+                    .clone()
+                    .map(|k| {
+                        let ahead = pre.get_mut(at(k)).and_then(Option::take);
+                        self.critic_pass(&mut params[param(k)], k, ahead)
+                    })
+                    .collect();
+                // Phase B, in agent order across all workers: everything
+                // that reads or advances the shared value-norm statistics.
+                let mut steps = Vec::with_capacity(group.len());
+                for (k, pass) in group.clone().zip(passes) {
+                    let lcf = &lcfs[at(k)];
+                    let ticket = epoch * num_agents + k;
+                    match board.take(ticket, |b| self.phase_b(b, lcf, k, pass, is_final)) {
+                        None => return Err(Stopped),
+                        Some(Err(NonFinite)) => {
+                            board.stop();
+                            return Err(Stopped);
+                        }
+                        Some(Ok((step, adv))) => {
+                            last_adv[at(k)] = adv;
+                            steps.push(step);
+                        }
+                    }
+                }
+                // Phase C: policy and critic steps.
+                for (k, step) in group.clone().zip(&steps) {
+                    let out = self.policy_step(&mut params[param(k)], k, step);
+                    if is_final {
+                        finals.push(out);
+                    }
+                }
+            }
         }
-    }
-
-    fn critic_input(&self, k: usize) -> &Matrix {
-        if self.cfg.centralized_critic {
-            self.state
-        } else {
-            &self.obs[k]
+        drop(span);
+        // Line 20: the overall value network, which no agent's epochs read.
+        if let Some((net, opt, stat)) = v_all {
+            let overall = match self.v_all_update(net, opt, stat) {
+                Ok(mut adv_all) => {
+                    normalize_advantages(&mut adv_all);
+                    Overall::Ready(adv_all)
+                }
+                Err(NonFinite) => Overall::Failed,
+            };
+            board.update(|b| b.overall = overall);
         }
+        // Lines 21-23: M2 LCF meta epochs (Eqns 30-32). No agent's meta
+        // step reads another agent's LCF, so each agent runs all its meta
+        // epochs in one go.
+        if meta {
+            let adv_all = board
+                .wait_for(|b| match &b.overall {
+                    Overall::Pending => None,
+                    Overall::Failed => Some(None),
+                    Overall::Ready(adv_all) => Some(Some(adv_all.clone())),
+                })
+                .ok_or(Stopped)?;
+            if let Some(adv_all) = adv_all {
+                let _s = tlm::span("lcf_meta_gradient");
+                for k in agents.clone() {
+                    let (agent, old) = (&mut params[param(k)], &mut old_policies[param(k)]);
+                    self.lcf_meta_step(agent, old, &mut lcfs[at(k)], k, &adv_all, &last_adv[at(k)]);
+                }
+            }
+        }
+        Ok(finals)
     }
 
     fn gae(&self, rewards: &[f32], values: &[f32]) -> (Vec<f32>, Vec<f32>) {
@@ -1023,29 +1235,69 @@ impl<'a> AgentInputs<'a> {
         ret.iter().map(|&r| stat.normalize(r)).collect()
     }
 
-    /// Phase A for agent `k`: the critics' forwards, whose values give the
-    /// neighbourhood advantages and returns here and whose cached
-    /// activations phase C steps from (nothing touches a critic between the
-    /// two phases).
-    fn critic_pass(&self, agent: &mut PpoAgent, k: usize) -> CriticPass {
-        let own = agent.critic_forward(self.critic_input(k), CriticKind::Own);
-        match self.neighbor_rewards.get(k) {
-            Some([r_he, r_ho]) => {
-                let he = agent.critic_forward(&self.obs[k], CriticKind::Heterogeneous);
-                let ho = agent.critic_forward(&self.obs[k], CriticKind::Homogeneous);
+    /// Phase A for agent `k`: the critics' forwards (`ahead` when they ran
+    /// before the epochs), whose values give the neighbourhood advantages
+    /// and returns here and whose cached activations phase C steps from
+    /// (nothing touches a critic between the two phases).
+    fn critic_pass(
+        &self,
+        agent: &mut PpoAgent,
+        k: usize,
+        ahead: Option<CriticForwards<'a>>,
+    ) -> CriticPass<'a> {
+        let fwds = ahead.unwrap_or_else(|| critic_forwards(self.cfg, self.rollout, agent, k));
+        match (fwds.neighbors, self.neighbor_rewards.get(k)) {
+            (Some([he, ho]), Some([r_he, r_ho])) => {
                 let (a_he, ret_he) = self.gae(r_he, he.values());
                 let (a_ho, ret_ho) = self.gae(r_ho, ho.values());
                 CriticPass {
-                    own,
+                    own: fwds.own,
                     neighbor_adv: [a_he, a_ho],
                     neighbors: Some([(he, ret_he), (ho, ret_ho)]),
                 }
             }
-            None => {
-                let zeros = vec![0.0; own.values().len()];
-                CriticPass { own, neighbor_adv: [zeros.clone(), zeros], neighbors: None }
+            _ => {
+                let zeros = vec![0.0; fwds.own.values().len()];
+                CriticPass { own: fwds.own, neighbor_adv: [zeros.clone(), zeros], neighbors: None }
             }
         }
+    }
+
+    /// Phase B for agent `k`, in its turn: the individual advantage (Eqn 24
+    /// generalised by GAE) and the cooperation-aware one (Eqn 27) under
+    /// its LCF, their NaN check, the final epoch's moments, and the own
+    /// critic's targets (Eqn 26), which advance `stat_own`. Returns the
+    /// step for phase C and `[A, A_HE, A_HO]`.
+    fn phase_b(
+        &self,
+        shared: &mut PhaseB<'_>,
+        lcf: &Lcf,
+        k: usize,
+        pass: CriticPass<'a>,
+        is_final: bool,
+    ) -> Result<(PolicyStep<'a>, [Vec<f32>; 3]), NonFinite> {
+        let (adv, ret, v) = self.value_gae(shared.stat_own, &self.rewards[k], pass.own.values());
+        let [adv_he, adv_ho] = pass.neighbor_adv;
+        let mut a_co: Vec<f32> = if self.cfg.ablation.use_copo {
+            (0..adv.len()).map(|t| lcf.coop_advantage(adv[t], adv_he[t], adv_ho[t])).collect()
+        } else {
+            adv.clone()
+        };
+        guard(self.cfg.nan_guard, || {
+            all_finite(&adv) && all_finite(&adv_he) && all_finite(&adv_ho) && all_finite(&a_co)
+        })?;
+        if is_final {
+            for t in 0..adv.len() {
+                let (a, r, e) = (a_co[t] as f64, ret[t] as f64, (ret[t] - v[t]) as f64);
+                for (m, x) in shared.moments.iter_mut().zip([a, a * a, r, r * r, e, e * e]) {
+                    *m += x;
+                }
+            }
+        }
+        normalize_advantages(&mut a_co);
+        let own_targets = self.value_targets(shared.stat_own, ret);
+        let step = PolicyStep { a_co, own: (pass.own, own_targets), neighbors: pass.neighbors };
+        Ok((step, [adv, adv_he, adv_ho]))
     }
 
     /// Phase C for agent `k`: the policy step (Eqn 28) and the critic
@@ -1057,15 +1309,44 @@ impl<'a> AgentInputs<'a> {
         k: usize,
         step: &PolicyStep,
     ) -> (PpoStats, CriticStats) {
-        let cfg = self.cfg;
-        let ppo =
-            agent.ppo_update(&self.obs[k], &self.actions[k], &self.log_probs[k], &step.a_co, cfg);
+        let (cfg, r) = (self.cfg, self.rollout);
+        let ppo = agent.ppo_update(&r.obs[k], &r.actions[k], &r.log_probs[k], &step.a_co, cfg);
         let (own_fwd, own_targets) = &step.own;
-        let own = agent.critic_step(own_fwd, own_targets, cfg.max_grad_norm);
-        for (fwd, targets) in step.neighbors.iter().flatten() {
-            agent.critic_step(fwd, targets, cfg.max_grad_norm);
-        }
+        let own = match &step.neighbors {
+            Some([(he, he_targets), (ho, ho_targets)]) => {
+                let steps = [(own_fwd, &own_targets[..]), (he, he_targets), (ho, ho_targets)];
+                agent.critic_steps(steps, cfg.max_grad_norm)[0]
+            }
+            None => agent.critic_step(own_fwd, own_targets, cfg.max_grad_norm),
+        };
         (ppo, own)
+    }
+
+    /// Line 20: one regression step of the overall value network on the
+    /// fleet reward `r_all`; returns the overall advantage.
+    fn v_all_update(
+        &self,
+        v_all: &mut Mlp,
+        opt: &mut Adam,
+        stat_all: &mut RunningStat,
+    ) -> Result<Vec<f32>, NonFinite> {
+        let _s = tlm::span("v_all_update");
+        let state = &self.rollout.states;
+        let r_all: Vec<f32> =
+            (0..state.rows()).map(|t| self.rewards.iter().map(|r| r[t]).sum()).collect();
+        // The training forward gives the values GAE needs and the
+        // activations the regression step below backpropagates.
+        let pred = v_all.forward(state);
+        let (adv_all, ret_all, _) = self.value_gae(stat_all, &r_all, pred.as_slice());
+        guard(self.cfg.nan_guard, || all_finite(&adv_all) && all_finite(&ret_all))?;
+        let targets = self.value_targets(stat_all, ret_all);
+        v_all.zero_grad();
+        let target = Matrix::from_vec(targets.len(), 1, targets);
+        let (_, grad) = agsc_nn::loss::mse(&pred, &target);
+        v_all.backward_params(state, &grad);
+        v_all.clip_grad_norm(self.cfg.max_grad_norm);
+        opt.step(&mut v_all.params_mut());
+        Ok(adv_all)
     }
 
     /// Lines 21-23 for agent `k`: every meta epoch's ascent of its LCF
@@ -1081,12 +1362,17 @@ impl<'a> AgentInputs<'a> {
         [adv, adv_he, adv_ho]: &[Vec<f32>; 3],
     ) {
         let cfg = self.cfg;
-        let (obs, actions) = (&self.obs[k], &self.actions[k]);
+        let (obs, actions) = (&self.rollout.obs[k], &self.rollout.actions[k]);
         // Term 1 (Eqn 31): ∇_{θ_new} J_all via the clipped surrogate with the
         // overall advantage. The policy does not move during the meta step,
         // so one evaluation serves every meta epoch.
-        let term1 =
-            agent.ppo_objective_grad(obs, actions, &self.log_probs[k], adv_all, cfg.clip_eps);
+        let term1 = agent.ppo_objective_grad(
+            obs,
+            actions,
+            &self.rollout.log_probs[k],
+            adv_all,
+            cfg.clip_eps,
+        );
         let dot = |b: &[f32]| -> f32 { term1.iter().zip(b).map(|(x, y)| x * y).sum() };
         let scale = cfg.meta_alpha / adv_all.len().max(1) as f32;
         // Term 2's behaviour policy is frozen too: one forward serves every
@@ -1333,7 +1619,7 @@ mod tests {
         let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
         // Poison the overall value network so `adv_all` goes non-finite
         // mid-iteration, after the policy networks have already stepped.
-        for p in t.learn.v_all.params_mut() {
+        for p in t.learn.models.v_all.params_mut() {
             p.value.as_mut_slice().fill(f32::NAN);
         }
         let obs = vec![0.1f32; t.obs_dim()];
@@ -1393,7 +1679,7 @@ mod tests {
         let mut t = HiMadrlTrainer::new(&env, small_train_cfg(), 10, 3).unwrap();
         // A NaN LCF poisons the cooperation-aware advantage (Eqn 27) that
         // phase B of the first policy epoch checks.
-        t.learn.lcfs[0] = Lcf { phi: f32::NAN, chi: f32::NAN };
+        t.learn.models.lcfs[0] = Lcf { phi: f32::NAN, chi: f32::NAN };
         let before = learnables(&t);
         let stats = t.train_iteration(&mut env);
         assert!(stats.update_skipped, "guard must flag the poisoned update");

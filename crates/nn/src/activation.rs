@@ -1,5 +1,6 @@
 //! Element-wise activations with analytic derivatives.
 
+use crate::lanes;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -31,17 +32,22 @@ impl Activation {
         }
     }
 
-    /// `row[j] = act(row[j] + bias[j])`: the bias+activation epilogue of a
-    /// GEMM output row. Per scalar it is exactly [`apply`](Self::apply) of
-    /// the sum, but it matches on the activation once per row, so each arm
-    /// is a plain loop the compiler vectorises.
-    pub(crate) fn bias_act(self, row: &mut [f32], bias: &[f32]) {
-        let pairs = row.iter_mut().zip(bias);
+    /// `z[r·n + j] = act(z[r·n + j] + bias[j])` over the rows of a
+    /// row-major GEMM output with `n = bias.len()` columns: the
+    /// bias+activation epilogue. Per scalar it is exactly
+    /// [`apply`](Self::apply) of the sum, but it matches on the activation
+    /// once per matrix, so each arm is a plain loop the compiler vectorises;
+    /// tanh, the hidden layers' activation, runs at the GEMM's SIMD width
+    /// ([`crate::lanes`]).
+    pub(crate) fn bias_act(self, z: &mut [f32], bias: &[f32]) {
+        if bias.is_empty() {
+            return;
+        }
         match self {
-            Activation::Tanh => pairs.for_each(|(v, &b)| *v = tanh(*v + b)),
-            Activation::Relu => pairs.for_each(|(v, &b)| *v = (*v + b).max(0.0)),
-            Activation::Sigmoid => pairs.for_each(|(v, &b)| *v = sigmoid(*v + b)),
-            Activation::Linear => pairs.for_each(|(v, &b)| *v += b),
+            Activation::Tanh => lanes::bias_tanh(z, bias),
+            Activation::Relu => each_row(z, bias, |v, b| (v + b).max(0.0)),
+            Activation::Sigmoid => each_row(z, bias, |v, b| sigmoid(v + b)),
+            Activation::Linear => each_row(z, bias, |v, b| v + b),
         }
     }
 
@@ -52,20 +58,30 @@ impl Activation {
 
     /// Chain `grad` (`dL/dy`) through the activation in place, giving
     /// `dL/dz = dL/dy · f'(z)` with `f'` written in terms of the cached
-    /// output `y = f(z)`, so layers cache only the output. `Linear` leaves
+    /// output `y = f(z)`, so layers cache only the output. Tanh's runs at
+    /// the GEMM's SIMD width ([`crate::lanes`]). `Linear` leaves
     /// `grad` untouched, which is what `g · 1.0` computes.
     ///
     /// # Panics
     /// Panics if `grad` and `y` differ in shape.
     pub(crate) fn backward_from_output(self, grad: &mut Matrix, y: &Matrix) {
         assert_eq!(grad.shape(), y.shape(), "gradient and output shapes differ");
-        let pairs = grad.as_mut_slice().iter_mut().zip(y.as_slice());
+        let (grad, y) = (grad.as_mut_slice(), y.as_slice());
         match self {
-            Activation::Tanh => pairs.for_each(|(g, &y)| *g *= 1.0 - y * y),
-            Activation::Relu => pairs.for_each(|(g, &y)| *g *= if y > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Sigmoid => pairs.for_each(|(g, &y)| *g *= y * (1.0 - y)),
+            Activation::Tanh => lanes::tanh_backward(grad, y),
+            Activation::Relu => {
+                grad.iter_mut().zip(y).for_each(|(g, &y)| *g *= if y > 0.0 { 1.0 } else { 0.0 })
+            }
+            Activation::Sigmoid => grad.iter_mut().zip(y).for_each(|(g, &y)| *g *= y * (1.0 - y)),
             Activation::Linear => {}
         }
+    }
+}
+
+/// `z[r·n + j] = f(z[r·n + j], bias[j])` for `n = bias.len()`.
+fn each_row(z: &mut [f32], bias: &[f32], f: impl Fn(f32, f32) -> f32) {
+    for row in z.chunks_exact_mut(bias.len()) {
+        row.iter_mut().zip(bias).for_each(|(v, &b)| *v = f(*v, b));
     }
 }
 

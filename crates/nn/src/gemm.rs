@@ -141,8 +141,10 @@ fn env_default() -> GemmKernel {
     *DEFAULT.get_or_init(|| agsc_telemetry::knobs::parse("AGSC_GEMM", GemmKernel::Fast))
 }
 
+/// Whether the CPU has AVX2, detected once; the elementwise kernels of
+/// [`crate::lanes`] dispatch on it too.
 #[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }

@@ -28,6 +28,7 @@ pub mod flops;
 pub mod gemm;
 pub mod gru;
 pub mod init;
+mod lanes;
 pub mod linear;
 pub mod loss;
 pub mod matrix;

@@ -13,12 +13,24 @@ use serde::{Deserialize, Serialize};
 /// maps to `B × out_dim`. The layer holds no activations: the caller keeps
 /// the forward's input and hands it to the backward (as
 /// [`Mlp`](crate::Mlp) does with its activation list).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Linear {
     /// Weight parameter, `in_dim × out_dim`.
     pub w: Param,
     /// Bias parameter, `1 × out_dim`.
     pub b: Param,
+}
+
+/// `clone_from` refills the destination's parameters in place.
+impl Clone for Linear {
+    fn clone(&self) -> Self {
+        Self { w: self.w.clone(), b: self.b.clone() }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.w.clone_from(&src.w);
+        self.b.clone_from(&src.b);
+    }
 }
 
 impl Linear {
@@ -65,10 +77,7 @@ impl Linear {
     /// pins this.
     pub fn forward_act(&self, x: &Matrix, act: Activation) -> Matrix {
         let mut z = x.matmul(&self.w.value);
-        let bias = self.b.value.row(0);
-        for r in 0..z.rows() {
-            act.bias_act(z.row_mut(r), bias);
-        }
+        act.bias_act(z.as_mut_slice(), self.b.value.row(0));
         z
     }
 

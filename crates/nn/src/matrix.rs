@@ -14,11 +14,24 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A dense row-major matrix of `f32`; the default is `0 × 0`.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// `clone_from` reuses the destination's buffer, so a copy refilled every
+/// iteration (the trainer's NaN-guard snapshot) allocates nothing.
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.rows, self.cols) = (src.rows, src.cols);
+        self.data.clone_from(&src.data);
+    }
 }
 
 impl fmt::Debug for Matrix {

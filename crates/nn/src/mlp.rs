@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 ///     net.zero_grad();
 ///     let pred = net.forward(&x);
 ///     let (_, grad) = agsc_nn::loss::mse(&pred, &y);
-///     net.backward(&grad);
+///     net.backward(&x, &grad);
 ///     opt.step(&mut net.params_mut());
 /// }
 /// let pred = net.forward_inference(&x);
@@ -39,20 +39,28 @@ pub struct Mlp {
     layers: Vec<Linear>,
     hidden_act: Activation,
     output_act: Activation,
-    /// The last training forward's activations `[x, y₁, …, yₙ]`: each
-    /// layer's input and output, held once. `backward` reads layer `i`'s
-    /// input from entry `i` and differentiates its activation through
-    /// entry `i + 1`.
+    /// The last training forward's layer outputs `[y₁, …, yₙ]`. The
+    /// forward's input is not copied: the caller still holds it and hands
+    /// it to the backward. `backward` differentiates layer `i`'s activation
+    /// through entry `i` and reads its input from entry `i − 1` (the
+    /// caller's input for the first layer).
     #[serde(skip)]
     acts: Vec<Matrix>,
 }
 
 /// A clone carries the parameters, not the last forward's activations: no
 /// caller that clones a network (the NaN guard's snapshot, a checkpoint)
-/// runs its backward before another forward.
+/// runs its backward before another forward. `clone_from` refills the
+/// destination's parameter buffers in place and drops its activations.
 impl Clone for Mlp {
     fn clone(&self) -> Self {
         Self::from_layers(self.layers.clone(), self.hidden_act, self.output_act)
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.layers.clone_from(&src.layers);
+        (self.hidden_act, self.output_act) = (src.hidden_act, src.output_act);
+        self.acts.clear();
     }
 }
 
@@ -158,32 +166,39 @@ impl Mlp {
         self.params().iter().map(|p| p.count()).sum()
     }
 
-    /// Training-mode forward pass; keeps its activations for `backward`.
+    /// Training-mode forward pass; keeps its layer outputs for `backward`,
+    /// which takes the same `x` again.
     ///
     /// Each layer runs the fused GEMM → bias → activation entry point
     /// (`Linear::forward_act`), which is bit-identical to the unfused
     /// `forward_inference` + `Activation::forward` sequence.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let n = self.layers.len();
         self.acts.clear();
-        self.acts.push(x.clone());
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            let y = layer.forward_act(&self.acts[i], act);
+            let input = if i == 0 { x } else { &self.acts[i - 1] };
+            let y = layer.forward_act(input, self.act_of(i));
             self.acts.push(y);
         }
-        self.acts[n].clone()
+        self.acts.last().expect("an MLP has at least one layer").clone()
     }
 
     /// Inference-mode forward pass (no caches touched, `&self`).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let n = self.layers.len();
-        let mut h = x.clone();
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            h = layer.forward_act(&h, act);
+            h = Some(layer.forward_act(h.as_ref().unwrap_or(x), self.act_of(i)));
         }
-        h
+        h.expect("an MLP has at least one layer")
+    }
+
+    /// Layer `i`'s activation: the hidden one, or the output one for the
+    /// last layer.
+    fn act_of(&self, i: usize) -> Activation {
+        if i + 1 == self.layers.len() {
+            self.output_act
+        } else {
+            self.hidden_act
+        }
     }
 
     /// Batched inference over a row-major `B × in_dim` matrix: each layer
@@ -200,16 +215,18 @@ impl Mlp {
         self.forward_inference(x)
     }
 
-    /// Backward pass from `dL/dy`; accumulates parameter gradients and returns
+    /// Backward pass from `dL/dy` through the last training `forward`,
+    /// whose input was `x`; accumulates parameter gradients and returns
     /// `dL/dx`.
     ///
     /// Only reads the caches of the last training `forward`, so several
     /// backward passes may follow one forward.
     ///
     /// # Panics
-    /// Panics if called before a training-mode `forward`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        self.backward_layers(grad_out, true).expect("the input gradient was requested")
+    /// Panics if called before a training-mode `forward`, or if `x` cannot
+    /// have been that forward's input (wrong shape).
+    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
+        self.backward_layers(x, grad_out, true).expect("the input gradient was requested")
     }
 
     /// [`backward`](Self::backward) without `dL/dx`: accumulates the same
@@ -217,24 +234,34 @@ impl Mlp {
     /// input-gradient GEMM. For callers that only step the parameters.
     ///
     /// # Panics
-    /// Panics if called before a training-mode `forward`.
-    pub fn backward_params(&mut self, grad_out: &Matrix) {
-        self.backward_layers(grad_out, false);
+    /// As [`backward`](Self::backward).
+    pub fn backward_params(&mut self, x: &Matrix, grad_out: &Matrix) {
+        self.backward_layers(x, grad_out, false);
     }
 
     /// The one backward loop; returns `dL/dx` when `input_grad` is set.
-    fn backward_layers(&mut self, grad_out: &Matrix, input_grad: bool) -> Option<Matrix> {
+    fn backward_layers(
+        &mut self,
+        x: &Matrix,
+        grad_out: &Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         let n = self.layers.len();
-        assert_eq!(self.acts.len(), n + 1, "Mlp::backward called before forward");
+        assert_eq!(self.acts.len(), n, "Mlp::backward called before forward");
+        assert_eq!(
+            x.shape(),
+            (self.acts[0].rows(), self.in_dim()),
+            "Mlp::backward: x is not the forward's input"
+        );
         let mut g = grad_out.clone();
         for i in (0..n).rev() {
-            let act = if i + 1 == n { self.output_act } else { self.hidden_act };
-            act.backward_from_output(&mut g, &self.acts[i + 1]);
+            self.act_of(i).backward_from_output(&mut g, &self.acts[i]);
+            let input = if i == 0 { x } else { &self.acts[i - 1] };
             if i == 0 && !input_grad {
-                self.layers[0].backward_params(&self.acts[0], &g);
+                self.layers[0].backward_params(input, &g);
                 return None;
             }
-            g = self.layers[i].backward(&self.acts[i], &g);
+            g = self.layers[i].backward(input, &g);
         }
         Some(g)
     }
@@ -283,17 +310,67 @@ impl Mlp {
 
     /// Global L2 gradient-norm clip; returns the pre-clip norm.
     pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let total = self.grad_norm();
-        if total > max_norm && total > 0.0 {
-            let scale = max_norm / total;
-            for p in self.params_mut() {
-                for g in p.grad.as_mut_slice() {
-                    *g *= scale;
+        let [total] = Self::clip_grad_norms([self], max_norm);
+        total
+    }
+
+    /// [`clip_grad_norm`](Self::clip_grad_norm) of `N` networks, bit for
+    /// bit, with their norms summed side by side.
+    ///
+    /// A norm is one long sequential `f32` sum, so it waits on the latency
+    /// of each add. Networks with the same parameter shapes (an agent's
+    /// three critics) walk their gradients in one loop with one running sum
+    /// each, every sum in its own order, so `N` chains run at once.
+    pub fn clip_grad_norms<const N: usize>(mut nets: [&mut Mlp; N], max_norm: f32) -> [f32; N] {
+        let totals = Self::grad_norms(nets.each_ref().map(|n| &**n));
+        for (net, &total) in nets.iter_mut().zip(&totals) {
+            if total > max_norm && total > 0.0 {
+                let scale = max_norm / total;
+                for p in net.params_mut() {
+                    for g in p.grad.as_mut_slice() {
+                        *g *= scale;
+                    }
                 }
             }
         }
-        total
+        totals
     }
+
+    /// [`grad_norm`](Self::grad_norm) of each network, the sums of
+    /// like-shaped networks run side by side.
+    fn grad_norms<const N: usize>(nets: [&Mlp; N]) -> [f32; N] {
+        let params = nets.map(Mlp::params);
+        let shapes = |p: &Vec<&Param>| p.iter().map(|p| p.grad.shape()).collect::<Vec<_>>();
+        if N == 1 || params.iter().any(|p| shapes(p) != shapes(&params[0])) {
+            return nets.map(Mlp::grad_norm);
+        }
+        // Per network, the per-parameter squared norms in parameter order,
+        // then their sum: `grad_norm`'s two sums, in its order.
+        let mut per_param = [const { Vec::new() }; N];
+        for i in 0..params[0].len() {
+            let sums = norm_sqs(params.each_ref().map(|p| p[i].grad.as_slice()));
+            for (v, s) in per_param.iter_mut().zip(sums) {
+                v.push(s);
+            }
+        }
+        per_param.map(|v| v.into_iter().sum::<f32>().sqrt())
+    }
+}
+
+/// `Σ x²` of each same-length slice, each a sequential `f32` sum from the
+/// start exactly as `Matrix::norm_sq` computes it, the `N` sums advanced
+/// together.
+fn norm_sqs<const N: usize>(xs: [&[f32]; N]) -> [f32; N] {
+    // The neutral element `Iterator::sum` folds from.
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); N];
+    let len = xs[0].len();
+    let xs = xs.map(|x| &x[..len]);
+    for i in 0..len {
+        for (a, x) in acc.iter_mut().zip(&xs) {
+            *a += x[i] * x[i];
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -340,7 +417,7 @@ mod tests {
         net.zero_grad();
         let y = net.forward(&x);
         let g = Matrix::full(y.rows(), y.cols(), 1.0);
-        net.backward(&g);
+        net.backward(&x, &g);
 
         let eps = 1e-3f32;
         let analytic = net.flat_grads();
@@ -454,14 +531,16 @@ mod tests {
         let mut looped_net = batched_net.clone();
 
         batched_net.zero_grad();
-        let y = batched_net.forward(&Matrix::from_rows(&rows));
-        batched_net.backward(&Matrix::full(y.rows(), y.cols(), 1.0));
+        let x = Matrix::from_rows(&rows);
+        let y = batched_net.forward(&x);
+        batched_net.backward(&x, &Matrix::full(y.rows(), y.cols(), 1.0));
         let batched_grads = batched_net.flat_grads();
 
         looped_net.zero_grad();
         for row in &rows {
-            let y = looped_net.forward(&Matrix::row_vector(row));
-            looped_net.backward(&Matrix::full(1, y.cols(), 1.0));
+            let x = Matrix::row_vector(row);
+            let y = looped_net.forward(&x);
+            looped_net.backward(&x, &Matrix::full(1, y.cols(), 1.0));
         }
         let looped_grads = looped_net.flat_grads();
 
@@ -478,7 +557,7 @@ mod tests {
     #[should_panic(expected = "Mlp::backward called before forward")]
     fn backward_without_forward_panics() {
         let mut net = Mlp::tanh(&[3, 4, 2], &mut rng());
-        net.backward(&Matrix::zeros(1, 2));
+        net.backward(&Matrix::zeros(1, 3), &Matrix::zeros(1, 2));
     }
 
     #[test]
@@ -488,7 +567,63 @@ mod tests {
         let mut net = Mlp::tanh(&[3, 4, 2], &mut rng());
         net.forward(&Matrix::zeros(1, 3));
         let mut copy = net.clone();
-        copy.backward_params(&Matrix::zeros(1, 2));
+        copy.backward_params(&Matrix::zeros(1, 3), &Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "x is not the forward's input")]
+    fn backward_with_an_input_of_the_wrong_shape_panics() {
+        let mut net = Mlp::tanh(&[3, 4, 2], &mut rng());
+        net.forward(&Matrix::zeros(2, 3));
+        net.backward_params(&Matrix::zeros(1, 3), &Matrix::zeros(2, 2));
+    }
+
+    /// Gradients with a spread of magnitudes, so the clip binds for some.
+    fn nets_with_grads(scale: [f32; 3]) -> [Mlp; 3] {
+        let mut r = rng();
+        scale.map(|s| {
+            let mut net = Mlp::tanh(&[7, 9, 1], &mut r);
+            for (i, p) in net.params_mut().into_iter().enumerate() {
+                for (j, g) in p.grad.as_mut_slice().iter_mut().enumerate() {
+                    *g = s * (((i * 31 + j * 7) % 13) as f32 - 6.0) / 7.0;
+                }
+            }
+            net
+        })
+    }
+
+    #[test]
+    fn clip_grad_norms_side_by_side_match_one_at_a_time_to_the_bit() {
+        for max_norm in [0.5f32, 3.0, 1e6] {
+            let mut alone = nets_with_grads([0.1, 1.0, 40.0]);
+            let mut together = alone.clone();
+            for (a, b) in alone.iter_mut().zip(&mut together) {
+                b.params_mut()
+                    .into_iter()
+                    .zip(a.params())
+                    .for_each(|(b, a)| b.grad = a.grad.clone());
+            }
+            let want = alone.each_mut().map(|n| n.clip_grad_norm(max_norm));
+            let [a, b, c] = &mut together;
+            let got = Mlp::clip_grad_norms([a, b, c], max_norm);
+            assert_eq!(want.map(f32::to_bits), got.map(f32::to_bits), "max {max_norm}");
+            for (a, b) in alone.iter().zip(&together) {
+                let bits = |n: &Mlp| n.flat_grads().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "clipped gradients, max {max_norm}");
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_refills_in_place_and_drops_activations() {
+        let src = Mlp::tanh(&[3, 5, 2], &mut rng());
+        let mut dst = Mlp::tanh(&[3, 5, 2], &mut ChaCha8Rng::seed_from_u64(99));
+        dst.forward(&Matrix::zeros(2, 3));
+        let buffer = dst.layers[0].w.value.as_slice().as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.layers[0].w.value.as_slice().as_ptr(), buffer, "buffers are reused");
+        assert!(dst.acts.is_empty(), "a copy carries no activations");
     }
 
     #[test]

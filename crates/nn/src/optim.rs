@@ -1,5 +1,6 @@
 //! First-order optimisers operating on `Param` slices.
 
+use crate::lanes::{self, AdamStep};
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 
@@ -28,22 +29,28 @@ impl Adam {
     }
 
     /// Apply one update step to every parameter, then zero its gradient.
+    ///
+    /// Per element this is `m ← β1·m + (1−β1)·g`, `v ← β2·v + (1−β2)·g·g`
+    /// and `x ← x − lr·(m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε)`, each
+    /// operation rounded on its own, at the GEMM's SIMD width
+    /// (`lanes`). Once `1 − β1ᵗ` rounds to 1.0 (from t = 165 at
+    /// β1 = 0.9) the first division is skipped: `m / 1.0` is `m` exactly.
     pub fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let c = AdamStep {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            one_minus_beta1: 1.0 - self.beta1,
+            one_minus_beta2: 1.0 - self.beta2,
+            b1t: 1.0 - self.beta1.powi(self.t as i32),
+            b2t: 1.0 - self.beta2.powi(self.t as i32),
+            lr: self.lr,
+            eps: self.eps,
+        };
         for p in params.iter_mut() {
             let Param { value, grad, m, v } = &mut **p;
-            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
-            let slots = value.as_mut_slice().iter_mut().zip(grad.as_slice()).zip(moments);
-            for ((x, &g), (m, v)) in slots {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                let mhat = *m / b1t;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-                let vhat = *v / b2t;
-                *x -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            p.zero_grad();
+            let (m, v) = (m.as_mut_slice(), v.as_mut_slice());
+            lanes::adam(value.as_mut_slice(), grad.as_mut_slice(), m, v, c);
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// A trainable tensor with gradient accumulator and Adam moment estimates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Param {
     /// Current value.
     pub value: Matrix,
@@ -18,6 +18,21 @@ pub struct Param {
     pub m: Matrix,
     /// Adam second-moment estimate.
     pub v: Matrix,
+}
+
+/// `clone_from` refills the destination's four buffers in place.
+impl Clone for Param {
+    fn clone(&self) -> Self {
+        let Self { value, grad, m, v } = self;
+        Self { value: value.clone(), grad: grad.clone(), m: m.clone(), v: v.clone() }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.value.clone_from(&src.value);
+        self.grad.clone_from(&src.grad);
+        self.m.clone_from(&src.m);
+        self.v.clone_from(&src.v);
+    }
 }
 
 impl Param {

@@ -73,7 +73,7 @@ pub use event::{Event, Level, Value};
 pub use histogram::{quantile_sorted, Histogram, HistogramSummary};
 pub use manifest::RunManifest;
 pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
-pub use span::{Span, SpanStat};
+pub use span::{EnteredContext, Span, SpanContext, SpanStat};
 pub use window::{WindowConfig, WindowSummary, WindowedCounter, WindowedHistogram};
 
 use std::collections::BTreeMap;
@@ -215,6 +215,16 @@ pub fn span(name: &'static str) -> Span {
         return Span::noop();
     }
     Span::enter(name)
+}
+
+/// The calling thread's open span path, for a worker thread it starts to
+/// [`SpanContext::enter`] so the worker's spans nest where its work does.
+/// Empty (and free) when disabled.
+pub fn span_context() -> SpanContext {
+    if !is_enabled() {
+        return SpanContext::default();
+    }
+    SpanContext::capture()
 }
 
 /// Accumulate one completed span call (called from [`Span::drop`]).
@@ -535,6 +545,28 @@ mod tests {
         let out = f();
         shutdown();
         out
+    }
+
+    #[test]
+    fn a_worker_that_enters_the_span_context_nests_under_its_spawner() {
+        with_global(|| {
+            install(vec![], Level::Info);
+            let outer = span("outer");
+            let ctx = span_context();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _inherited = ctx.enter();
+                    drop(span("inner"));
+                });
+                s.spawn(|| drop(span("bare")));
+            });
+            drop(outer);
+            let paths: Vec<String> = spans_snapshot().into_iter().map(|(p, _)| p).collect();
+            assert!(paths.contains(&"outer/inner".to_string()), "{paths:?}");
+            assert!(paths.contains(&"bare".to_string()), "a thread without the context: {paths:?}");
+            assert!(paths.contains(&"outer".to_string()), "{paths:?}");
+            assert_eq!(paths.len(), 3, "the adopted path is not recorded again: {paths:?}");
+        });
     }
 
     #[test]

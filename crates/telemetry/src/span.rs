@@ -6,7 +6,10 @@
 //! `train_iteration` accumulates separately from a bare `ppo_epochs`.
 //!
 //! The nesting stack is thread-local (each thread has its own path), the
-//! registry is shared. Guards must drop in LIFO order, which scope-based
+//! registry is shared. A worker thread starts with an empty path unless it
+//! enters its spawner's [`SpanContext`], after which its spans record
+//! under the spawner's path (`train_iteration/ppo_epochs` on every thread
+//! that runs policy epochs). Guards must drop in LIFO order, which scope-based
 //! usage guarantees. When telemetry is disabled, guard construction is a
 //! single atomic load and drop is a no-op.
 
@@ -73,6 +76,47 @@ impl Drop for Span {
                 s.borrow_mut().pop();
             });
             crate::record_span(path, elapsed);
+        }
+    }
+}
+
+/// A thread's open span path, captured (by [`crate::span_context`]) for a
+/// worker thread it starts to [`enter`](Self::enter). Empty while
+/// telemetry is off.
+#[derive(Debug, Clone, Default)]
+pub struct SpanContext(Vec<&'static str>);
+
+impl SpanContext {
+    /// The calling thread's open span path.
+    pub(crate) fn capture() -> Self {
+        Self(STACK.with(|s| s.borrow().clone()))
+    }
+
+    /// Adopt the captured path on the calling thread until the guard drops:
+    /// spans opened meanwhile record under it, as if nested in the
+    /// capturing thread's open spans. Those spans themselves are not
+    /// recorded again; they stay the capturing thread's.
+    #[must_use = "the path is adopted only while the guard lives"]
+    pub fn enter(&self) -> EnteredContext {
+        if self.0.is_empty() {
+            return EnteredContext { saved: None };
+        }
+        let saved = STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), self.0.clone()));
+        EnteredContext { saved: Some(saved) }
+    }
+}
+
+/// The guard of [`SpanContext::enter`]; restores the thread's own path on
+/// drop.
+#[derive(Debug)]
+pub struct EnteredContext {
+    saved: Option<Vec<&'static str>>,
+}
+
+impl Drop for EnteredContext {
+    fn drop(&mut self) {
+        if let Some(saved) = self.saved.take() {
+            STACK.with(|s| *s.borrow_mut() = saved);
         }
     }
 }

@@ -245,7 +245,7 @@ fn training_loop_parameters_are_kernel_invariant() {
                 net.zero_grad();
                 let pred = net.forward(&x);
                 let (_, grad) = loss::mse(&pred, &target);
-                net.backward(&grad);
+                net.backward(&x, &grad);
                 opt.step(&mut net.params_mut());
             }
             net.flat_values()

@@ -17,8 +17,12 @@
 
 use agsc::datasets::presets;
 use agsc::env::{AirGroundEnv, EnvConfig, VecEnv};
+use agsc::madrl::Rollout;
 use agsc::madrl::{Ablation, HiMadrlTrainer, IterationStats, TrainConfig};
-use agsc::nn::{gemm, GemmKernel};
+use agsc::nn::{gemm, GemmKernel, Matrix};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn proto_env() -> AirGroundEnv {
     let dataset = presets::purdue(3);
@@ -177,8 +181,9 @@ fn three_training_iterations_are_bit_identical_under_both_gemm_kernels() {
     );
 }
 
-/// Three `num_envs = 1` iterations of `cfg` at 1, 2 and 4 workers, which
-/// run the per-agent update on that many threads, compared bit for bit.
+/// Three `num_envs = 1` iterations of `cfg` at 1, 2, 3 and 4 workers,
+/// which run the per-agent update on that many threads (3 workers cut the
+/// 4 agents into uneven shards), compared bit for bit.
 fn assert_update_is_worker_count_invariant(cfg: &TrainConfig, what: &str) {
     let run = |workers: usize| {
         let mut t = trainer(TrainConfig { rollout_workers: workers, ..cfg.clone() });
@@ -187,7 +192,7 @@ fn assert_update_is_worker_count_invariant(cfg: &TrainConfig, what: &str) {
         (stats, params_without_config(&t))
     };
     let (stats_one, params_one) = run(1);
-    for workers in [2, 4] {
+    for workers in [2, 3, 4] {
         let (stats, params) = run(workers);
         for (i, (a, b)) in stats_one.iter().zip(&stats).enumerate() {
             assert_stats_bitwise(a, b, &format!("{what}: 1 vs {workers} workers, iter {i}"));
@@ -256,4 +261,74 @@ fn per_replica_rollouts_are_worker_count_invariant() {
     // Replicas are decorrelated: distinct derived seeds produce distinct
     // episodes (identical ones would mean the derivation collapsed).
     assert_ne!(r1[0].states, r1[1].states, "replicas must not replay the same episode");
+}
+
+#[test]
+fn nan_actor_in_the_last_shard_rolls_back_identically_at_every_worker_count() {
+    // The last agent sits in the last shard at every worker count, so its
+    // poison meets the update on a worker thread whenever there is one.
+    let run = |workers: usize| {
+        let mut ckpt = trainer(train_cfg(1, workers)).checkpoint();
+        let last = ckpt.agents.len() - 1;
+        for p in ckpt.agents[last].actor_mut().params_mut() {
+            p.value.as_mut_slice().fill(f32::NAN);
+        }
+        let mut t = HiMadrlTrainer::restore(&ckpt, 7).unwrap();
+        let learnables = |t: &HiMadrlTrainer| {
+            let mut v = params_without_config(t);
+            v.as_object_mut().unwrap().remove("iterations_done");
+            serde_json::to_string(&v).unwrap()
+        };
+        let before = learnables(&t);
+        let stats = t.train_iteration(&mut proto_env());
+        assert!(stats.update_skipped, "{workers} workers: the guard must skip the update");
+        assert_eq!(stats.nan_events, 1, "{workers} workers");
+        assert_eq!(learnables(&t), before, "{workers} workers: learnables must be restored");
+        stats
+    };
+    let one = run(1);
+    for workers in [2, 3] {
+        assert_stats_bitwise(&one, &run(workers), &format!("NaN actor, 1 vs {workers} workers"));
+    }
+}
+
+/// `rollout` with the last agent's observation matrix one column short.
+fn last_obs_one_column_short(mut rollout: Rollout) -> Rollout {
+    let obs = rollout.obs.last_mut().expect("agents");
+    let (rows, cols) = obs.shape();
+    let data = (0..rows).flat_map(|r| obs.row(r)[..cols - 1].to_vec()).collect();
+    *obs = Matrix::from_vec(rows, cols - 1, data);
+    rollout
+}
+
+#[test]
+fn a_shape_panic_in_the_update_reaches_the_caller_at_every_worker_count() {
+    for workers in [1, 2, 3] {
+        for use_eoi in [true, false] {
+            let (done, finished) = mpsc::channel();
+            // The update runs on its own thread so a worker left waiting
+            // on a phase-B turn fails this test instead of hanging it.
+            std::thread::spawn(move || {
+                let mut cfg = train_cfg(1, workers);
+                cfg.ablation.use_eoi = use_eoi;
+                let mut t = trainer(cfg);
+                let mut env = proto_env();
+                let rollout = last_obs_one_column_short(t.collect_rollout(&mut env));
+                let metrics = env.metrics();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    t.train_iteration_from_rollouts(vec![rollout], metrics)
+                }));
+                let message = outcome.err().map(|p| agsc::madrl::parallel::panic_message(&*p));
+                done.send(message).unwrap();
+            });
+            let message = finished
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{workers} workers, i-EOI {use_eoi}: the update hung"));
+            let message = message.expect("the shape check must panic");
+            assert!(
+                message.contains("mismatch"),
+                "{workers} workers, i-EOI {use_eoi}: not the shape check's panic: {message}"
+            );
+        }
+    }
 }

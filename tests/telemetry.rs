@@ -199,3 +199,35 @@ fn profile_table_is_absent_when_disabled_and_aligned_when_present() {
         }
     });
 }
+
+#[test]
+fn spans_on_worker_threads_record_under_the_spawning_path() {
+    with_telemetry(|| {
+        tlm::install(vec![], tlm::Level::Info);
+        {
+            let _iteration = tlm::span("train_iteration");
+            agsc::madrl::parallel::scoped_shards(2, &mut [0u8, 1], |_, _| {
+                drop(tlm::span("gae"));
+                Vec::<()>::new()
+            });
+        }
+        let spans = tlm::spans_snapshot();
+        let gae = spans.iter().find(|(p, _)| p == "train_iteration/gae");
+        assert_eq!(gae.map(|(_, s)| s.calls), Some(2), "both shards' spans: {spans:?}");
+        assert!(spans.iter().all(|(p, _)| p != "gae"), "no worker span outside: {spans:?}");
+
+        // The update pipeline's workers too: every phase span, on every
+        // thread, nests under the iteration.
+        let mut env = fast_env(3);
+        let cfg = TrainConfig { rollout_workers: 2, ..fast_train_cfg() };
+        HiMadrlTrainer::new(&env, cfg, 2, 3).unwrap().train_iteration(&mut env);
+        for (path, _) in tlm::spans_snapshot() {
+            let leaf = path.rsplit('/').next().unwrap();
+            if ["gae", "ppo_epochs", "v_all_update", "lcf_meta_gradient", "eoi_update"]
+                .contains(&leaf)
+            {
+                assert!(path.starts_with("train_iteration/"), "{path} escaped the iteration");
+            }
+        }
+    });
+}

@@ -166,8 +166,8 @@ fn backward_params_accumulates_the_gradients_of_backward_under_both_kernels() {
         params_only.forward(&x);
         // Twice, so accumulation onto non-zero gradients is covered too.
         for _ in 0..2 {
-            full.backward(&grad_out);
-            params_only.backward_params(&grad_out);
+            full.backward(&x, &grad_out);
+            params_only.backward_params(&x, &grad_out);
         }
         gemm::set_kernel_override(None);
         assert_eq!(bits(&full.flat_grads()), bits(&params_only.flat_grads()), "{kernel:?}");
@@ -194,7 +194,7 @@ fn one_behaviour_forward_per_meta_step_leaves_the_lcfs_bit_equal() {
         let mean = actor.forward(&obs);
         let (d_mean, d_log_std) =
             DiagGaussian::new(&mean, agent.log_std()).log_prob_grad(&actions, coeff);
-        actor.backward(&d_mean);
+        actor.backward(&obs, &d_mean);
         let mut flat = actor.flat_grads();
         flat.extend_from_slice(&d_log_std);
         flat
