@@ -590,9 +590,11 @@ pub fn abl_access(h: &HarnessConfig) {
 /// The first layer runs twice: once on a dense fill and once (`obs` in the
 /// label) on the observation rows of one untrained `HiMadrlTrainer`
 /// rollout, whose blind entities are exact zeros the fast kernel skips
-/// (the run prints their sparsity: 75.1% zeros and 67.3% all-zero 6-row
-/// depth steps at the default seed, against 65–80% and 59–79% in
-/// `train-purdue`'s rollouts). GFLOP/s comes from the
+/// (the run prints their sparsity: 75.1% zeros at the default seed,
+/// against 65–80% in `train-purdue`'s rollouts). The `agent-obs` series
+/// run the first layer on each agent's own observation matrix, as the
+/// update and collection do, and time the build of its zero index.
+/// GFLOP/s comes from the
 /// algorithmic count 2·m·n·k (the same formula [`agsc_nn::flops`] charges),
 /// so the figure is comparable whether or not telemetry is enabled and
 /// whatever the kernel skipped. Each (shape, product, kernel) cell lands in
@@ -627,22 +629,11 @@ pub fn gemm_microbench(h: &HarnessConfig) {
         .collect_rollout(&mut env);
     let obs_rows: Vec<f32> = rollout.obs.iter().flat_map(|o| o.as_slice()).copied().collect();
     assert!(obs_rows.len() >= 256 * obs_dim, "one rollout must fill a batch of 256 rows");
-    // How much the fast kernel can skip in the largest batch: exact zeros,
-    // and depth steps of a 6-row tile whose operands are all zero.
+    // How much the fast kernel can skip in the largest batch: the exact
+    // zeros its row lists leave out.
     let rows = &obs_rows[..256 * obs_dim];
     let zero_share = rows.iter().filter(|v| **v == 0.0).count() as f64 / rows.len() as f64;
-    let blocks: Vec<&[f32]> = rows.chunks_exact(6 * obs_dim).collect();
-    let skippable = blocks
-        .iter()
-        .flat_map(|blk| (0..obs_dim).map(move |c| (0..6).all(|r| blk[r * obs_dim + c] == 0.0)))
-        .filter(|&all_zero| all_zero)
-        .count() as f64
-        / (blocks.len() * obs_dim) as f64;
-    w.line(format!(
-        "obs rows: {:.1}% exact zeros, {:.1}% of 6-row depth steps all-zero",
-        100.0 * zero_share,
-        100.0 * skippable
-    ));
+    w.line(format!("obs rows: {:.1}% exact zeros", 100.0 * zero_share));
 
     // Timed repetitions per shape: scale with the harness budget but keep
     // the whole sweep comfortably cheap on the default budget.
@@ -726,8 +717,133 @@ pub fn gemm_microbench(h: &HarnessConfig) {
             }
         }
     }
+    agent_obs_series(h, &rollout.obs, reps, &mut w, &mut res);
     res.finish();
     w.finish();
+}
+
+/// The first layer as the update and collection run it, on each agent's
+/// own observation matrix of one rollout (`T` rows of one agent's view):
+/// the forward `x·W` and weight gradient `xᵀ·dY` at batch `T`, whose left
+/// operand keeps its zero index across calls, and the batch-1 actor
+/// forward on each of those rows against one finite `W`. Labelled
+/// `agent-obs`. Also times building one matrix's zero index, per build.
+fn agent_obs_series(
+    h: &HarnessConfig,
+    obs: &[agsc_nn::Matrix],
+    reps: usize,
+    w: &mut ExperimentWriter,
+    res: &mut BenchResults,
+) {
+    use agsc_nn::{flops::matmul_flops, GemmKernel, Matrix};
+    let (t, width) = obs[0].shape();
+    let out = TrainConfig::default().hidden[0];
+    let fill = |rows: usize, cols: usize, salt: usize| {
+        let data = (0..rows * cols).map(|i| ((i + salt) % 13) as f32 * 0.03 - 0.15).collect();
+        Matrix::from_vec(rows, cols, data)
+    };
+    let (wgt, dy) = (fill(width, out, 7), fill(t, out, 11));
+    let rows: Vec<Matrix> =
+        obs.iter().flat_map(|o| o.iter_rows().map(Matrix::row_vector)).collect();
+    let zeros = obs.iter().map(|o| o.as_slice().iter().filter(|v| **v == 0.0).count());
+    let shares: Vec<String> =
+        zeros.map(|z| format!("{:.1}%", 100.0 * z as f64 / (t * width) as f64)).collect();
+    w.line(format!(
+        "agent-obs: {} agents x {t} rows, zeros per agent {}",
+        obs.len(),
+        shares.join(" ")
+    ));
+    type Run<'a> = Box<dyn Fn(GemmKernel) + 'a>;
+    let series: [(usize, &str, Run); 3] = [
+        (
+            t,
+            "matmul",
+            Box::new(|k| {
+                obs.iter().for_each(|x| drop(std::hint::black_box(x.matmul_with(&wgt, k))))
+            }),
+        ),
+        (
+            t,
+            "t_matmul",
+            Box::new(|k| {
+                obs.iter().for_each(|x| drop(std::hint::black_box(x.t_matmul_with(&dy, k))))
+            }),
+        ),
+        (
+            1,
+            "matmul",
+            Box::new(|k| {
+                rows.iter().for_each(|x| drop(std::hint::black_box(x.matmul_with(&wgt, k))))
+            }),
+        ),
+    ];
+    for (batch, product, run) in &series {
+        let calls = if *batch == 1 { rows.len() } else { obs.len() };
+        let mut us = [0.0f64; 2];
+        for (slot, kernel) in [GemmKernel::Reference, GemmKernel::Fast].into_iter().enumerate() {
+            // The warm-up also builds each operand's zero index, as the
+            // update's first product on a rollout does.
+            run(kernel);
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                run(kernel);
+            }
+            let secs = t0.elapsed().as_secs_f64().max(1e-9);
+            let total = (reps * calls) as f64;
+            us[slot] = secs / total * 1e6;
+            let gflops = (matmul_flops(*batch, out, width) as f64 * total) / secs / 1e9;
+            let label = format!("B={batch} {out}x{width} agent-obs {product} {}", kernel.label());
+            let point = crate::results::ResultPoint::new(
+                "gemm_microbench",
+                "",
+                &label,
+                h,
+                &Metrics::default(),
+                secs,
+            );
+            res.record_point(point.with_gflops(gflops));
+        }
+        w.line(format!(
+            "{:<28} {:>10} {:>9.2} us ref {:>9.2} us fast {:>7.2}x",
+            format!("{batch}x{out}x{width} agent-obs"),
+            product,
+            us[0],
+            us[1],
+            us[0] / us[1].max(1e-9)
+        ));
+    }
+    // Index builds (the row lists), each on a fresh copy: a clone carries
+    // no index.
+    let mut build_us: Vec<f64> = Vec::with_capacity(reps * obs.len());
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        for x in obs {
+            let copy = x.clone();
+            let t1 = Instant::now();
+            copy.index_zeros();
+            build_us.push(t1.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    build_us.sort_by(f64::total_cmp);
+    let pct = |q: f64| build_us[((build_us.len() - 1) as f64 * q).round() as usize];
+    let label = format!("B={t} {width} agent-obs index build");
+    let point = crate::results::ResultPoint::new(
+        "gemm_microbench",
+        "",
+        &label,
+        h,
+        &Metrics::default(),
+        secs,
+    )
+    .with_samples_per_sec(build_us.len() as f64 / secs)
+    .with_latency_us(pct(0.5), pct(0.95), pct(0.99));
+    res.record_point(point);
+    w.line(format!(
+        "{t}x{width} agent-obs index build (row lists): p50 {:.2} us, p95 {:.2} us",
+        pct(0.5),
+        pct(0.95)
+    ));
 }
 
 #[cfg(test)]

@@ -159,7 +159,8 @@ impl<'a> ActorSet<'a> {
             // Replicas are clones sharing one horizon, so they finish
             // together; lockstep is what lets one GEMM serve the shard.
             debug_assert!(envs.iter().all(|e| !e.is_done()), "replicas must step in lockstep");
-            let all_obs: Vec<Vec<Vec<f32>>> = envs.iter().map(|e| e.observations()).collect();
+            let (states, all_obs): (Vec<Vec<f32>>, Vec<Vec<Vec<f32>>>) =
+                envs.iter().map(AirGroundEnv::state_and_observations).unzip();
             let mut actions_env: Vec<Vec<UvAction>> = vec![Vec::with_capacity(num_agents); n];
             let mut actions: Vec<Vec<[f32; 2]>> = vec![Vec::with_capacity(num_agents); n];
             let mut log_probs: Vec<Vec<f32>> = vec![Vec::with_capacity(num_agents); n];
@@ -187,8 +188,7 @@ impl<'a> ActorSet<'a> {
                     log_probs[j].push(lp);
                 }
             }
-            for (j, env) in envs.iter_mut().enumerate() {
-                let state = env.global_state();
+            for ((j, env), state) in envs.iter_mut().enumerate().zip(states) {
                 let step = env.step(&actions_env[j]);
                 rollouts[j].add_collected(&step.collection.collected_per_uv);
                 let rewards: Vec<f32> = step.rewards.iter().map(|&r| r as f32).collect();

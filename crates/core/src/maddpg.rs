@@ -206,8 +206,7 @@ impl Maddpg {
         let mut steps = 0usize;
         let mut episode_obs: Vec<Matrix> = Vec::new();
 
-        let mut prev_obs = env.observations();
-        let mut prev_state = env.global_state();
+        let (mut prev_state, mut prev_obs) = env.state_and_observations();
         while !env.is_done() {
             let mut actions = Vec::with_capacity(k);
             let mut actions_env = Vec::with_capacity(k);
@@ -223,8 +222,7 @@ impl Maddpg {
                 actions_env.push(UvAction { heading: raw[0] as f64, speed: raw[1] as f64 });
             }
             let step = env.step(&actions_env);
-            let next_obs = env.observations();
-            let next_state = env.global_state();
+            let (next_state, next_obs) = env.state_and_observations();
 
             // Extrinsic rewards.
             let mut rewards: Vec<f32> = step.rewards.iter().map(|&r| r as f32).collect();

@@ -747,11 +747,14 @@ impl Learnables {
         // every agent's epoch-0 critic forwards: they need no rewards, and
         // with one parameter set per agent nothing moves a critic before
         // its epoch-0 step. A snapshot still to refill is split between
-        // them: the helper copies the models first, the caller the
-        // classifier.
+        // them: the helper copies the models, the caller the classifier.
+        // The helper first indexes the observations' zeros, which every
+        // first layer reads and the classifier's stacked batch derives its
+        // index from, so the caller finds them built.
         let (pre, identity_probs) = fork(
             run.workers > 1,
             || {
+                rollout.obs.iter().for_each(Matrix::index_zeros);
                 if let Some(s) = snap_models {
                     s.clone_from(models);
                 }
@@ -956,6 +959,21 @@ struct PhaseB<'m> {
     /// V_all's normalised overall advantage, once the first shard has run
     /// V_all.
     overall: Overall,
+    /// LCF meta steps no worker has taken yet.
+    lcf_jobs: Vec<LcfJob<'m>>,
+    /// Shards that have not yet handed in their LCF meta steps.
+    lcf_shards_pending: usize,
+}
+
+/// One parameter set's LCF meta steps (lines 21-23): the parameters and
+/// behaviour policy they read, and per agent of the set (one, or every
+/// agent under shared parameters) its id, LCF and final-epoch `[A, A_HE,
+/// A_HO]`. No agent's meta step reads another's LCF, so any worker may run
+/// any job once V_all's advantage is posted.
+struct LcfJob<'m> {
+    agent: &'m mut PpoAgent,
+    old: BehaviourPolicy,
+    lcfs: Vec<(usize, &'m mut Lcf, [Vec<f32>; 3])>,
 }
 
 /// Where V_all's overall advantage stands.
@@ -1043,8 +1061,15 @@ impl<'a> AgentInputs<'a> {
                 v_all: v_all.take(),
             });
         }
-        let board = Turns::new(PhaseB { stat_own, moments: [0.0; 6], overall: Overall::Pending });
-        let run = |shard: Shard<'_, 'a>| {
+        let meta = self.cfg.ablation.use_copo && self.cfg.lcf_epochs > 0;
+        let board = Turns::new(PhaseB {
+            stat_own,
+            moments: [0.0; 6],
+            overall: Overall::Pending,
+            lcf_jobs: Vec::new(),
+            lcf_shards_pending: if meta { shards.len() } else { 0 },
+        });
+        let run = |shard| {
             let _stop = board.stop_on_panic();
             self.run_shard(shard, &board)
         };
@@ -1104,11 +1129,12 @@ impl<'a> AgentInputs<'a> {
     }
 
     /// One worker's job: its shard's policy epochs, V_all when it holds
-    /// it, then its LCF meta epochs once V_all's advantage is ready.
-    fn run_shard(
+    /// it, then LCF meta epochs from the queue all workers share once
+    /// V_all's advantage is ready.
+    fn run_shard<'m>(
         &self,
-        shard: Shard<'_, 'a>,
-        board: &Turns<PhaseB<'_>>,
+        shard: Shard<'m, 'a>,
+        board: &Turns<PhaseB<'m>>,
     ) -> Result<FinalStats, Stopped> {
         let cfg = self.cfg;
         let num_agents = self.rollout.num_agents();
@@ -1117,7 +1143,7 @@ impl<'a> AgentInputs<'a> {
         let param = |k: usize| if cfg.shared_params { 0 } else { at(k) };
         // Line 13: the behaviour policies, frozen for the meta step.
         let meta = cfg.ablation.use_copo && cfg.lcf_epochs > 0;
-        let mut old_policies: Vec<BehaviourPolicy> =
+        let old_policies: Vec<BehaviourPolicy> =
             if meta { params.iter().map(PpoAgent::behaviour_policy).collect() } else { Vec::new() };
         // Agents with their own parameters run each phase for the whole
         // shard at once. A shared parameter set must see each agent's step
@@ -1171,6 +1197,21 @@ impl<'a> AgentInputs<'a> {
             }
         }
         drop(span);
+        // Hand in this shard's meta steps, one job per parameter set.
+        if meta {
+            let mut jobs: Vec<LcfJob<'m>> = params
+                .iter_mut()
+                .zip(old_policies)
+                .map(|(agent, old)| LcfJob { agent, old, lcfs: Vec::new() })
+                .collect();
+            for ((k, lcf), adv) in agents.clone().zip(lcfs.iter_mut()).zip(last_adv) {
+                jobs[param(k)].lcfs.push((k, lcf, adv));
+            }
+            board.update(|b| {
+                b.lcf_jobs.extend(jobs);
+                b.lcf_shards_pending -= 1;
+            });
+        }
         // Line 20: the overall value network, which no agent's epochs read.
         if let Some((net, opt, stat)) = v_all {
             let overall = match self.v_all_update(net, opt, stat) {
@@ -1184,7 +1225,8 @@ impl<'a> AgentInputs<'a> {
         }
         // Lines 21-23: M2 LCF meta epochs (Eqns 30-32). No agent's meta
         // step reads another agent's LCF, so each agent runs all its meta
-        // epochs in one go.
+        // epochs in one go, on whichever worker takes its job: a worker
+        // whose shard ran fast takes the slower shard's agents.
         if meta {
             let adv_all = board
                 .wait_for(|b| match &b.overall {
@@ -1195,9 +1237,17 @@ impl<'a> AgentInputs<'a> {
                 .ok_or(Stopped)?;
             if let Some(adv_all) = adv_all {
                 let _s = tlm::span("lcf_meta_gradient");
-                for k in agents.clone() {
-                    let (agent, old) = (&mut params[param(k)], &mut old_policies[param(k)]);
-                    self.lcf_meta_step(agent, old, &mut lcfs[at(k)], k, &adv_all, &last_adv[at(k)]);
+                let next = |b: &mut PhaseB<'m>| match b.lcf_jobs.pop() {
+                    Some(job) => Some(Some(job)),
+                    None if b.lcf_shards_pending == 0 => Some(None),
+                    None => None,
+                };
+                while let Some(LcfJob { agent, mut old, lcfs }) =
+                    board.wait_for(next).ok_or(Stopped)?
+                {
+                    for (k, lcf, adv) in lcfs {
+                        self.lcf_meta_step(agent, &mut old, lcf, k, &adv_all, &adv);
+                    }
                 }
             }
         }

@@ -220,8 +220,15 @@ impl AirGroundEnv {
     /// noise/dropout faults are applied last. With faults off the fault
     /// layer is bypassed entirely.
     pub fn observations(&self) -> Vec<Vec<f32>> {
+        self.state_and_observations().1
+    }
+
+    /// The global state and every UV's [`observations`](Self::observations)
+    /// masked from it: what one collection step records, for one build of
+    /// the state.
+    pub fn state_and_observations(&self) -> (Vec<f32>, Vec<Vec<f32>>) {
         let state = self.global_state();
-        (0..self.uvs.len())
+        let obs = (0..self.uvs.len())
             .map(|k| {
                 let mut o = local_observation(&self.cfg, &state, &self.uvs, &self.poi_pos, k);
                 if self.injector.is_active() {
@@ -240,7 +247,8 @@ impl AirGroundEnv {
                 }
                 o
             })
-            .collect()
+            .collect();
+        (state, obs)
     }
 
     /// Advance one timeslot: move every UV, run data collection, compute

@@ -12,14 +12,15 @@
 //!   [`NR`]-column panels per [`KC`]-deep stripe (from a per-thread scratch
 //!   buffer, so a warm thread allocates nothing), and an [`MR`]×[`NR`]
 //!   micro-kernel reads `A` in place and accumulates `chunks_exact` f32
-//!   lanes the compiler autovectorizes. When `A` is at least half exact
-//!   zeros (an observation's blind entities) and `B` is finite, `matmul`
-//!   and `t_matmul` skip the depth steps whose `MR` A-operands are all
-//!   zero. Batch-1–7 products run one register strip per row, and 1–2-wide
-//!   outputs (or a 1–2-deep `matmul_t`) run small direct kernels. On
-//!   x86-64 with AVX2 (detected at run time) the same safe-Rust kernels are
-//!   compiled with `#[target_feature]` so the lanes widen to 256-bit ymm
-//!   registers.
+//!   lanes the compiler autovectorizes. When `A` is mostly exact zeros (an
+//!   observation's blind entities) and `B` is finite, `matmul` and
+//!   `t_matmul` run `A`'s zero index instead (its `ZeroLists`, kept by the
+//!   `Matrix`): each output row runs only its live depth steps. Batch-1–7
+//!   products run one register strip per row, which leaves out zero
+//!   operands when `B` is finite, and 1–2-wide outputs (or a 1–2-deep
+//!   `matmul_t`) run small direct kernels. On x86-64 with AVX2 (detected at
+//!   run time) the same safe-Rust kernels are compiled with
+//!   `#[target_feature]` so the lanes widen to 256-bit ymm registers.
 //!
 //! ## Equivalence contract
 //!
@@ -50,9 +51,10 @@
 //! NaN, NaN-for-NaN agreement on the rest.
 //!
 //! The reference loops never skip a zero term. The fast path skips them
-//! only after one scan proves `B` finite: against `±∞` or NaN a skipped
-//! `0 · B` term would be NaN, so a call with a non-finite `B` stays dense
-//! and NaN-for-NaN agreement holds exactly as for any other input.
+//! only once a scan (remembered per `Matrix` content) proves `B` finite:
+//! against `±∞` or NaN a skipped `0 · B` term would be NaN, so a call with
+//! a non-finite `B` stays dense and NaN-for-NaN agreement holds exactly as
+//! for any other input.
 //!
 //! ## Selection
 //!
@@ -61,7 +63,7 @@
 //! both paths in one binary), and the `*_with` methods on `Matrix` pin a
 //! single call. FLOP accounting happens in the `Matrix` wrappers *before*
 //! dispatch, so both paths charge the identical `2·m·n·k` regardless of
-//! tiling remainders.
+//! tiling remainders or skipped terms.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -78,6 +80,15 @@ pub const KC: usize = 256;
 /// `t_matmul` run one register strip per row instead (bit-identical either
 /// way, so this is purely a performance heuristic).
 const SMALL_M: usize = 8;
+
+/// A matrix gets zero lists only when at most `MAX_LIVE.0 / MAX_LIVE.1`
+/// of its entries are nonzero; denser operands keep the tiled kernels
+/// (DESIGN §17 has the census behind the cut).
+const MAX_LIVE: (usize, usize) = (1, 2);
+
+/// Nor does a matrix of fewer entries than this: its dense products take
+/// a few microseconds, about what building and reading lists costs.
+const MIN_LISTED: usize = 4096;
 
 /// Which GEMM implementation a product dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +166,7 @@ pub(crate) fn avx2_available() -> bool {
 // be exactly m×k / (dims per product) / m×n long.
 // ---------------------------------------------------------------------------
 
-/// Route one product to the widest tiled variant the CPU supports.
+/// Route one call to the widest instantiation the CPU supports.
 macro_rules! dispatch_fast {
     ($product:ident($($arg:expr),*)) => {{
         #[cfg(target_arch = "x86_64")]
@@ -163,14 +174,50 @@ macro_rules! dispatch_fast {
             // SAFETY: `tiled_avx2::*` only *requires* AVX2 (its body is safe
             // Rust compiled with the feature enabled), and the runtime check
             // above proved the CPU has it.
-            unsafe { tiled_avx2::$product($($arg),*) }
-            return;
+            return unsafe { tiled_avx2::$product($($arg),*) };
         }
         tiled_portable::$product($($arg),*)
     }};
 }
 
+/// The kernel family a fast `matmul` or `t_matmul` into an `m×n` output
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// A 1–2-wide output (the action and value heads).
+    Narrow,
+    /// Fewer than `SMALL_M` output rows: one register strip per row.
+    Strips,
+    /// Register tiles, or `A`'s zero lists.
+    Tiles,
+}
+
+/// The route of a fast `matmul` or `t_matmul` into an `m×n` output: the
+/// kernels dispatch on it, and `Matrix` asks it which facts (zero lists,
+/// finiteness) a product could use before computing any.
+pub(crate) fn route(m: usize, n: usize) -> Route {
+    if n <= 2 {
+        Route::Narrow
+    } else if m < SMALL_M {
+        Route::Strips
+    } else {
+        Route::Tiles
+    }
+}
+
+/// What a fast `matmul` or `t_matmul` may leave out of `A`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Skip<'a> {
+    /// Every term runs (`B` not known finite, or nothing to skip).
+    Dense,
+    /// `B` is finite, so strips may leave out zero operands.
+    Zeros,
+    /// `B` is finite and these are `A`'s zero lists, one per output row.
+    Lists(&'a ZeroLists),
+}
+
 /// `out[m×n] += a[m×k] · b[k×n]` (all row-major).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul(
     kernel: GemmKernel,
     m: usize,
@@ -178,15 +225,17 @@ pub(crate) fn matmul(
     k: usize,
     a: &[f32],
     b: &[f32],
+    skip: Skip<'_>,
     out: &mut [f32],
 ) {
     match kernel {
         GemmKernel::Reference => reference::matmul(m, n, k, a, b, out),
-        GemmKernel::Fast => dispatch_fast!(matmul(m, n, k, a, b, out)),
+        GemmKernel::Fast => dispatch_fast!(matmul(m, n, k, a, b, skip, out)),
     }
 }
 
 /// `out[m×n] += aᵀ · b` where `a` is `k×m` and `b` is `k×n` (row-major).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn t_matmul(
     kernel: GemmKernel,
     m: usize,
@@ -194,11 +243,12 @@ pub(crate) fn t_matmul(
     k: usize,
     a: &[f32],
     b: &[f32],
+    skip: Skip<'_>,
     out: &mut [f32],
 ) {
     match kernel {
         GemmKernel::Reference => reference::t_matmul(m, n, k, a, b, out),
-        GemmKernel::Fast => dispatch_fast!(t_matmul(m, n, k, a, b, out)),
+        GemmKernel::Fast => dispatch_fast!(t_matmul(m, n, k, a, b, skip, out)),
     }
 }
 
@@ -216,6 +266,132 @@ pub(crate) fn matmul_t(
         GemmKernel::Reference => reference::matmul_t(m, n, k, a, b, out),
         GemmKernel::Fast => dispatch_fast!(matmul_t(m, n, k, a, b, out)),
     }
+}
+
+/// Whether `b` holds no ±∞ and no NaN.
+pub(crate) fn all_finite(b: &[f32]) -> bool {
+    dispatch_fast!(all_finite(b))
+}
+
+// ---------------------------------------------------------------------------
+// Zero lists: a sparse copy of a mostly-zero operand, built once per matrix
+// content (the `Matrix` memo keeps it) and read by the list kernels.
+// ---------------------------------------------------------------------------
+
+/// One matrix's live entries, row by row: row `r`'s nonzero entries as
+/// ascending column indices and their values. A `matmul` runs its left
+/// operand's row lists; a `t_matmul` runs the lists of its left operand's
+/// transpose (the column lists), since output row `i` of `aᵀ·b` sums over
+/// column `i` of `a`. Entries are counted live unless they compare equal to
+/// zero, so NaN and ±∞ stay in and `±0` is left out.
+#[derive(Debug, PartialEq)]
+pub(crate) struct ZeroLists {
+    /// Row `r`'s entries are `idx[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    idx: Vec<u16>,
+    val: Vec<f32>,
+}
+
+impl ZeroLists {
+    /// The row lists of row-major `a` (`rows × cols`), or `None` when more
+    /// than [`MAX_LIVE`] of it is live, it has fewer than [`MIN_LISTED`]
+    /// entries, or a column index would not fit the `u16` lists.
+    pub(crate) fn of_rows(rows: usize, cols: usize, a: &[f32]) -> Option<Self> {
+        if a.len() < MIN_LISTED || cols > 1 << 16 || a.len() > u32::MAX as usize {
+            return None;
+        }
+        let live = sparse_live_count(a)?;
+        Some(Self::build(rows, cols, a, live))
+    }
+
+    /// The row lists of `a`, which has `live` nonzero entries.
+    fn build(rows: usize, cols: usize, a: &[f32], live: usize) -> Self {
+        // Every entry is written at the next free slot and kept only if it
+        // is live, so the fill has no branch; the last slot absorbs the
+        // writes after the last live entry.
+        let (mut idx, mut val) = (vec![0u16; live + 1], vec![0.0f32; live + 1]);
+        let mut starts = Vec::with_capacity(rows + 1);
+        starts.push(0);
+        let mut len = 0;
+        for row in a.chunks_exact(cols) {
+            for (c, &x) in row.iter().enumerate() {
+                idx[len] = c as u16;
+                val[len] = x;
+                len += usize::from(x != 0.0);
+            }
+            starts.push(len as u32);
+        }
+        idx.truncate(live);
+        val.truncate(live);
+        Self { starts, idx, val }
+    }
+
+    /// The lists of the `width`-column matrix's transpose: one list per
+    /// column, rows ascending. `None` when a row index would not fit.
+    pub(crate) fn transpose(&self, width: usize) -> Option<Self> {
+        let rows = self.rows();
+        if rows > 1 << 16 {
+            return None;
+        }
+        let mut starts = vec![0u32; width + 1];
+        for &c in &self.idx {
+            starts[usize::from(c) + 1] += 1;
+        }
+        for c in 0..width {
+            starts[c + 1] += starts[c];
+        }
+        let mut next: Vec<u32> = starts[..width].to_vec();
+        let (mut idx, mut val) = (vec![0u16; self.idx.len()], vec![0.0f32; self.val.len()]);
+        for r in 0..rows {
+            let (cs, vs) = self.row(r);
+            for (&c, &v) in cs.iter().zip(vs) {
+                let at = &mut next[usize::from(c)];
+                idx[*at as usize] = r as u16;
+                val[*at as usize] = v;
+                *at += 1;
+            }
+        }
+        Some(Self { starts, idx, val })
+    }
+
+    /// The given rows of the given lists, in order: the lists of the
+    /// matrix stacked from those rows.
+    pub(crate) fn concat<'a>(rows: impl Iterator<Item = (&'a ZeroLists, usize)>) -> Self {
+        let mut out = Self { starts: vec![0], idx: Vec::new(), val: Vec::new() };
+        for (lists, r) in rows {
+            let (cs, vs) = lists.row(r);
+            out.idx.extend_from_slice(cs);
+            out.val.extend_from_slice(vs);
+            out.starts.push(out.idx.len() as u32);
+        }
+        out
+    }
+
+    /// Number of lists.
+    pub(crate) fn rows(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Row `r`'s live column indices and values.
+    fn row(&self, r: usize) -> (&[u16], &[f32]) {
+        let span = self.starts[r] as usize..self.starts[r + 1] as usize;
+        (&self.idx[span.clone()], &self.val[span])
+    }
+}
+
+/// The number of nonzero entries of `a`, or `None` once more than
+/// [`MAX_LIVE`] of them are: a dense operand is turned away after about
+/// half a scan.
+fn sparse_live_count(a: &[f32]) -> Option<usize> {
+    let bound = a.len() * MAX_LIVE.0 / MAX_LIVE.1;
+    let mut live = 0;
+    for c in a.chunks(256) {
+        live += c.iter().map(|&x| u32::from(x != 0.0)).sum::<u32>() as usize;
+        if live > bound {
+            return None;
+        }
+    }
+    Some(live)
 }
 
 // ---------------------------------------------------------------------------
@@ -270,15 +446,14 @@ mod reference {
 // from here and hands back, so a thread that has run its largest shape once
 // allocates nothing more. Every pack routine writes each element the
 // kernels later read (panel tails and a copied edge block's missing lanes
-// are zero-filled), and a live-step list is written before it is read, so
-// a previous call's values can never reach the next call's output.
+// are zero-filled), so a previous call's values can never reach the next
+// call's output.
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
 struct Scratch {
     bpack: Vec<f32>,
     apack: Vec<f32>,
-    steps: Vec<u16>,
 }
 
 thread_local! {
@@ -295,9 +470,9 @@ fn return_scratch(s: Scratch) {
 }
 
 /// `buf[..len]`, growing `buf` first if it is shorter.
-fn prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+fn prefix(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     if buf.len() < len {
-        buf.resize(len, T::default());
+        buf.resize(len, 0.0);
     }
     &mut buf[..len]
 }
@@ -313,52 +488,22 @@ fn prefix<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 macro_rules! define_tiled {
     ($mod_name:ident $(, $feat:literal)?) => {
         mod $mod_name {
-            use super::{prefix, return_scratch, take_scratch, KC, MR, NR, SMALL_M};
+            use super::{prefix, return_scratch, route, take_scratch, Route, Skip, ZeroLists};
+            use super::{KC, MR, NR};
 
-            /// Lanes one small-`m` strip keeps in registers per pass.
-            const STRIP: usize = 32;
             /// Rows a 1–2-wide `matmul` advances together.
             const NARROW_ROWS: usize = 8;
             /// Output rows a 1–2-wide `t_matmul` advances together.
             const NARROW_T: usize = 32;
-
-            /// Whether at least half of `a` is exact zeros (either sign).
-            /// Counts a chunk at a time and stops once the answer is known.
-            $( #[target_feature(enable = $feat)] )?
-            fn mostly_zero(a: &[f32]) -> bool {
-                let (mut zeros, mut seen) = (0, 0);
-                for c in a.chunks(256) {
-                    zeros += c.iter().map(|&x| u32::from(x == 0.0)).sum::<u32>() as usize;
-                    seen += c.len();
-                    if 2 * zeros >= a.len() {
-                        return true;
-                    }
-                    if 2 * (zeros + a.len() - seen) < a.len() {
-                        return false;
-                    }
-                }
-                false
-            }
+            /// Outputs a batch-1–7 `matmul_t` row advances together.
+            const DOTS: usize = 8;
 
             /// Whether `b` holds no ±∞ and no NaN.
             $( #[target_feature(enable = $feat)] )?
-            fn all_finite(b: &[f32]) -> bool {
+            pub(super) fn all_finite(b: &[f32]) -> bool {
                 b.chunks(256).all(|c| {
                     c.iter().fold(0u32, |hi, x| hi.max(x.to_bits() & 0x7fff_ffff)) < 0x7f80_0000
                 })
-            }
-
-            /// Whether a `matmul`/`t_matmul` may skip the depth steps whose
-            /// A-operands are zero. Every output chain starts at `+0.0` and
-            /// so never holds `-0.0`; a skipped term is `±0 · finite = ±0`,
-            /// and adding `±0` to such a chain changes no bit. With a
-            /// non-finite `b` the term could be NaN, so the call stays dense.
-            /// A block's list of live steps only repays its scan when more
-            /// than one panel (`n > NR`) runs over it, and a dense `a` is
-            /// turned away by one cheap count before any block scans it.
-            $( #[target_feature(enable = $feat)] )?
-            fn skip_zeros(n: usize, a: &[f32], b: &[f32]) -> bool {
-                n > NR && mostly_zero(a) && all_finite(b)
             }
 
             /// Pack `b[k0..k0+kc, :]` (row-major `k×n`) into NR-column,
@@ -438,34 +583,16 @@ macro_rules! define_tiled {
                 }
             }
 
-            /// The depth steps `0..kc` whose `MR` A-operands are not all
-            /// zero, written into `buf`: the only steps a zero-skipping tile
-            /// has to run. `None` when more than three quarters are live:
-            /// too few are zero to repay the indirection (DESIGN §17 has
-            /// the census behind the cutoff).
-            $( #[target_feature(enable = $feat)] )?
-            fn live_steps(lhs: impl Lhs, kc: usize, buf: &mut [u16]) -> Option<&[u16]> {
-                let mut len = 0;
-                for kk in 0..kc {
-                    buf[len] = kk as u16;
-                    len += usize::from(lhs.at(kk).iter().fold(false, |live, &x| live | (x != 0.0)));
-                }
-                (4 * len <= 3 * kc).then_some(&buf[..len])
-            }
-
             /// One `MR×NR` register tile: loads the partial sums of the live
             /// `mh×jw` corner at `out[at..]` (row stride `n`), extends every
-            /// chain by the stripe's depth steps in ascending order (only
-            /// those `steps` lists, when zero steps are skipped), and stores
-            /// the corner back. `FULL` is `mh == MR && jw == NR`. Lanes
-            /// outside the corner compute on padding and are never stored.
-            /// `acc` is only ever indexed by constants or copied whole, so
-            /// it stays in registers.
-            #[allow(clippy::too_many_arguments)]
+            /// chain by the stripe's depth steps in ascending order, and
+            /// stores the corner back. `FULL` is `mh == MR && jw == NR`.
+            /// Lanes outside the corner compute on padding and are never
+            /// stored. `acc` is only ever indexed by constants or copied
+            /// whole, so it stays in registers.
             $( #[target_feature(enable = $feat)] )?
             fn tile<const FULL: bool>(
                 lhs: impl Lhs,
-                steps: Option<&[u16]>,
                 panel: &[f32],
                 out: &mut [f32],
                 at: usize,
@@ -483,28 +610,12 @@ macro_rules! define_tiled {
                         *acc_m = v;
                     }
                 }
-                match steps {
-                    None => {
-                        for (kk, bl) in panel.chunks_exact(NR).enumerate() {
-                            let bl: &[f32; NR] = bl.try_into().unwrap();
-                            let av = lhs.at(kk);
-                            for mm in 0..MR {
-                                for jj in 0..NR {
-                                    acc[mm][jj] += av[mm] * bl[jj];
-                                }
-                            }
-                        }
-                    }
-                    Some(steps) => {
-                        for &kk in steps {
-                            let kk = usize::from(kk);
-                            let bl: &[f32; NR] = panel[kk * NR..(kk + 1) * NR].try_into().unwrap();
-                            let av = lhs.at(kk);
-                            for mm in 0..MR {
-                                for jj in 0..NR {
-                                    acc[mm][jj] += av[mm] * bl[jj];
-                                }
-                            }
+                for (kk, bl) in panel.chunks_exact(NR).enumerate() {
+                    let bl: &[f32; NR] = bl.try_into().unwrap();
+                    let av = lhs.at(kk);
+                    for mm in 0..MR {
+                        for jj in 0..NR {
+                            acc[mm][jj] += av[mm] * bl[jj];
                         }
                     }
                 }
@@ -519,28 +630,22 @@ macro_rules! define_tiled {
             }
 
             /// Every panel of the `mh`-row block at row `i0` over a stripe.
-            /// When skipping zeros, the block's live steps are listed once
-            /// for all its panels.
-            #[allow(clippy::too_many_arguments)]
             $( #[target_feature(enable = $feat)] )?
             fn block(
                 lhs: impl Lhs,
-                skip: bool,
                 kc: usize,
                 bpack: &[f32],
-                steps: &mut [u16],
                 out: &mut [f32],
                 n: usize,
                 (i0, mh): (usize, usize),
             ) {
-                let steps = if skip { live_steps(lhs, kc, steps) } else { None };
                 for (p, panel) in bpack.chunks_exact(kc * NR).enumerate() {
                     let j0 = p * NR;
                     let live = (mh, NR.min(n - j0));
                     if live == (MR, NR) {
-                        tile::<true>(lhs, steps, panel, out, i0 * n + j0, n, live);
+                        tile::<true>(lhs, panel, out, i0 * n + j0, n, live);
                     } else {
-                        tile::<false>(lhs, steps, panel, out, i0 * n + j0, n, live);
+                        tile::<false>(lhs, panel, out, i0 * n + j0, n, live);
                     }
                 }
             }
@@ -552,7 +657,6 @@ macro_rules! define_tiled {
             /// `a_kmajor`; a k-major partial block is copied out). Each out
             /// element continues its single ascending-k chain: partial sums
             /// are loaded from `out`, extended, and stored back.
-            #[allow(clippy::too_many_arguments)]
             $( #[target_feature(enable = $feat)] )?
             fn tiled(
                 m: usize,
@@ -562,10 +666,9 @@ macro_rules! define_tiled {
                 b: &[f32],
                 out: &mut [f32],
                 (a_kmajor, b_rows_are_n): (bool, bool),
-                skip: bool,
             ) {
                 let mut scratch = take_scratch();
-                let super::Scratch { bpack, apack, steps } = &mut scratch;
+                let super::Scratch { bpack, apack } = &mut scratch;
                 let npanels = n.div_ceil(NR);
                 let mut k0 = 0;
                 while k0 < k {
@@ -576,7 +679,7 @@ macro_rules! define_tiled {
                     } else {
                         pack_b(n, k0, kc, b, bpack);
                     }
-                    let (apack, steps) = (prefix(apack, kc * MR), prefix(steps, kc));
+                    let apack = prefix(apack, kc * MR);
                     for i0 in (0..m).step_by(MR) {
                         let mh = MR.min(m - i0);
                         let blk = (i0, mh);
@@ -585,13 +688,12 @@ macro_rules! define_tiled {
                             for (mm, row) in rows.iter_mut().enumerate() {
                                 *row = &a[(i0 + mm.min(mh - 1)) * k + k0..][..kc];
                             }
-                            block(Rows(rows), skip, kc, bpack, steps, out, n, blk);
+                            block(Rows(rows), kc, bpack, out, n, blk);
                         } else if mh == MR {
-                            let lhs = Steps(&a[k0 * m + i0..], m);
-                            block(lhs, skip, kc, bpack, steps, out, n, blk);
+                            block(Steps(&a[k0 * m + i0..], m), kc, bpack, out, n, blk);
                         } else {
                             pack_a_kmajor(m, mh, k0, &a[i0..], apack);
-                            block(Steps(apack, MR), skip, kc, bpack, steps, out, n, blk);
+                            block(Steps(apack, MR), kc, bpack, out, n, blk);
                         }
                     }
                     k0 += kc;
@@ -599,9 +701,80 @@ macro_rules! define_tiled {
                 return_scratch(scratch);
             }
 
+            /// `W` columns of one output row from `j0` on, in registers:
+            /// `out_row[j0..j0+W] += Σ_e val[e] · b[idx[e], j0..j0+W]`, the
+            /// terms in list order.
+            $( #[target_feature(enable = $feat)] )?
+            fn list_block<const W: usize>(
+                n: usize,
+                j0: usize,
+                (idx, val): (&[u16], &[f32]),
+                b: &[f32],
+                out_row: &mut [f32],
+            ) {
+                let mut acc = [0.0f32; W];
+                acc.copy_from_slice(&out_row[j0..j0 + W]);
+                for (&kk, &av) in idx.iter().zip(val) {
+                    let bl: &[f32; W] = b[usize::from(kk) * n + j0..][..W].try_into().unwrap();
+                    for jj in 0..W {
+                        acc[jj] += av * bl[jj];
+                    }
+                }
+                out_row[j0..j0 + W].copy_from_slice(&acc);
+            }
+
+            /// One output row of a listed product: `out_row += Σ_e val[e] ·
+            /// b[idx[e], :]` with `idx` ascending, so each chain runs its
+            /// live depth steps in the reference's order. Columns go in
+            /// register blocks of 64, 32, 16 and 8, then a last partial one.
+            $( #[target_feature(enable = $feat)] )?
+            fn list_row(n: usize, list: (&[u16], &[f32]), b: &[f32], out_row: &mut [f32]) {
+                let mut j0 = 0;
+                while j0 + 64 <= n {
+                    list_block::<64>(n, j0, list, b, out_row);
+                    j0 += 64;
+                }
+                if j0 + 32 <= n {
+                    list_block::<32>(n, j0, list, b, out_row);
+                    j0 += 32;
+                }
+                if j0 + 16 <= n {
+                    list_block::<16>(n, j0, list, b, out_row);
+                    j0 += 16;
+                }
+                if j0 + 8 <= n {
+                    list_block::<8>(n, j0, list, b, out_row);
+                    j0 += 8;
+                }
+                if j0 < n {
+                    // Through a local, so `acc` is only copied whole.
+                    let jw = n - j0;
+                    let mut acc = [0.0f32; 8];
+                    acc[..jw].copy_from_slice(&out_row[j0..]);
+                    for (&kk, &av) in list.0.iter().zip(list.1) {
+                        let bl = &b[usize::from(kk) * n + j0..][..jw];
+                        for (o, &bv) in acc[..jw].iter_mut().zip(bl) {
+                            *o += av * bv;
+                        }
+                    }
+                    out_row[j0..].copy_from_slice(&acc[..jw]);
+                }
+            }
+
+            /// The listed product: output row `r` runs `lists`' row `r`
+            /// against `b` (`k×n`).
+            $( #[target_feature(enable = $feat)] )?
+            fn listed(n: usize, lists: &ZeroLists, b: &[f32], out: &mut [f32]) {
+                for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+                    list_row(n, lists.row(r), b, out_row);
+                }
+            }
+
             /// One output row of a product with too few rows to fill a
-            /// tile: `out_row += Σ_kk a[at + kk·stride] · b[kk, :]`, the
-            /// row's chains held in registers `STRIP` lanes at a time.
+            /// tile: `out_row += Σ_kk a[at + kk·stride] · b[kk, :]`. Each
+            /// `KC` stripe's operands are listed on the stack and run by the
+            /// list kernel; when `skip` (`B` finite) the list leaves out the
+            /// zero operands, whose terms are `±0`.
             #[allow(clippy::too_many_arguments)]
             $( #[target_feature(enable = $feat)] )?
             fn strip(
@@ -612,28 +785,19 @@ macro_rules! define_tiled {
                 stride: usize,
                 b: &[f32],
                 out_row: &mut [f32],
+                skip: bool,
             ) {
-                for j0 in (0..n).step_by(STRIP) {
-                    let jw = STRIP.min(n - j0);
-                    let mut acc = [0.0f32; STRIP];
-                    acc[..jw].copy_from_slice(&out_row[j0..][..jw]);
-                    if jw == STRIP {
-                        for kk in 0..k {
-                            let av = a[at + kk * stride];
-                            let bl: &[f32; STRIP] = b[kk * n + j0..][..STRIP].try_into().unwrap();
-                            for jj in 0..STRIP {
-                                acc[jj] += av * bl[jj];
-                            }
-                        }
-                    } else {
-                        for kk in 0..k {
-                            let av = a[at + kk * stride];
-                            for (o, &bv) in acc[..jw].iter_mut().zip(&b[kk * n + j0..][..jw]) {
-                                *o += av * bv;
-                            }
-                        }
+                let (mut idx, mut val) = ([0u16; KC], [0.0f32; KC]);
+                for k0 in (0..k).step_by(KC) {
+                    let kc = KC.min(k - k0);
+                    let mut len = 0;
+                    for kk in 0..kc {
+                        let v = a[at + (k0 + kk) * stride];
+                        idx[len] = kk as u16;
+                        val[len] = v;
+                        len += usize::from(!skip || v != 0.0);
                     }
-                    out_row[j0..][..jw].copy_from_slice(&acc[..jw]);
+                    list_row(n, (&idx[..len], &val[..len]), &b[k0 * n..], out_row);
                 }
             }
 
@@ -723,37 +887,84 @@ macro_rules! define_tiled {
                 }
             }
 
+            /// `matmul_t` with too few rows to fill a tile: every output is
+            /// the reference's dot product, `+0.0` plus each term in
+            /// ascending `k`, then added to `out`. `DOTS` outputs of a row
+            /// advance together so their chains overlap; outputs past `n`
+            /// repeat the last one and are never stored.
             $( #[target_feature(enable = $feat)] )?
-            pub(super) fn matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-                if m == 0 || n == 0 || k == 0 {
-                    return;
-                }
-                match n {
-                    1 => narrow_matmul::<1>(m, k, a, b, out),
-                    2 => narrow_matmul::<2>(m, k, a, b, out),
-                    _ if m < SMALL_M => {
-                        for (i, row) in out.chunks_exact_mut(n).enumerate() {
-                            strip(n, k, a, i * k, 1, b, row);
+            fn dot_rows(n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+                for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                    for j0 in (0..n).step_by(DOTS) {
+                        let jw = DOTS.min(n - j0);
+                        let mut rows = [&b[..0]; DOTS];
+                        for (jj, row) in rows.iter_mut().enumerate() {
+                            *row = &b[(j0 + jj.min(jw - 1)) * k..][..k];
+                        }
+                        let mut acc = [0.0f32; DOTS];
+                        for (kk, &av) in a_row.iter().enumerate() {
+                            for jj in 0..DOTS {
+                                acc[jj] += av * rows[jj][kk];
+                            }
+                        }
+                        for (o, &x) in out_row[j0..j0 + jw].iter_mut().zip(&acc) {
+                            *o += x;
                         }
                     }
-                    _ => tiled(m, n, k, a, b, out, (false, false), skip_zeros(n, a, b)),
                 }
             }
 
             $( #[target_feature(enable = $feat)] )?
-            pub(super) fn t_matmul(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+            pub(super) fn matmul(
+                m: usize,
+                n: usize,
+                k: usize,
+                a: &[f32],
+                b: &[f32],
+                skip: Skip<'_>,
+                out: &mut [f32],
+            ) {
                 if m == 0 || n == 0 || k == 0 {
                     return;
                 }
-                match n {
-                    1 => narrow_t_matmul::<1>(m, k, a, b, out),
-                    2 => narrow_t_matmul::<2>(m, k, a, b, out),
-                    _ if m < SMALL_M => {
+                match (route(m, n), skip) {
+                    (Route::Narrow, _) if n == 1 => narrow_matmul::<1>(m, k, a, b, out),
+                    (Route::Narrow, _) => narrow_matmul::<2>(m, k, a, b, out),
+                    (Route::Strips, _) => {
+                        let skip = !matches!(skip, Skip::Dense);
                         for (i, row) in out.chunks_exact_mut(n).enumerate() {
-                            strip(n, k, a, i, m, b, row);
+                            strip(n, k, a, i * k, 1, b, row, skip);
                         }
                     }
-                    _ => tiled(m, n, k, a, b, out, (true, false), skip_zeros(n, a, b)),
+                    (Route::Tiles, Skip::Lists(lists)) => listed(n, lists, b, out),
+                    (Route::Tiles, _) => tiled(m, n, k, a, b, out, (false, false)),
+                }
+            }
+
+            $( #[target_feature(enable = $feat)] )?
+            pub(super) fn t_matmul(
+                m: usize,
+                n: usize,
+                k: usize,
+                a: &[f32],
+                b: &[f32],
+                skip: Skip<'_>,
+                out: &mut [f32],
+            ) {
+                if m == 0 || n == 0 || k == 0 {
+                    return;
+                }
+                match (route(m, n), skip) {
+                    (Route::Narrow, _) if n == 1 => narrow_t_matmul::<1>(m, k, a, b, out),
+                    (Route::Narrow, _) => narrow_t_matmul::<2>(m, k, a, b, out),
+                    (Route::Strips, _) => {
+                        let skip = !matches!(skip, Skip::Dense);
+                        for (i, row) in out.chunks_exact_mut(n).enumerate() {
+                            strip(n, k, a, i, m, b, row, skip);
+                        }
+                    }
+                    (Route::Tiles, Skip::Lists(lists)) => listed(n, lists, b, out),
+                    (Route::Tiles, _) => tiled(m, n, k, a, b, out, (true, false)),
                 }
             }
 
@@ -765,7 +976,8 @@ macro_rules! define_tiled {
                 match k {
                     1 => narrow_matmul_t::<1>(n, a, b, out),
                     2 => narrow_matmul_t::<2>(n, a, b, out),
-                    _ => tiled(m, n, k, a, b, out, (false, true), false),
+                    _ if m < super::SMALL_M => dot_rows(n, k, a, b, out),
+                    _ => tiled(m, n, k, a, b, out, (false, true)),
                 }
             }
         }
@@ -796,6 +1008,30 @@ mod tests {
     }
 
     type Product = fn(GemmKernel, usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+    fn matmul(
+        kernel: GemmKernel,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        super::matmul(kernel, m, n, k, a, b, Skip::Dense, out)
+    }
+
+    fn t_matmul(
+        kernel: GemmKernel,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+    ) {
+        super::t_matmul(kernel, m, n, k, a, b, Skip::Dense, out)
+    }
 
     fn run(
         product: Product,
@@ -883,12 +1119,104 @@ mod tests {
             let b = fill(k * n, 8);
             let f = run(matmul, m, n, k, &a, &b, GemmKernel::Fast);
             let mut p = vec![0.0f32; m * n];
-            tiled_portable::matmul(m, n, k, &a, &b, &mut p);
+            tiled_portable::matmul(m, n, k, &a, &b, Skip::Dense, &mut p);
             assert!(
                 f.iter().zip(&p).all(|(x, y)| x.to_bits() == y.to_bits()),
                 "portable tiling diverged at {m}x{n}x{k}"
             );
         }
+    }
+
+    /// Mostly zeros: about one entry in four live, some `-0.0`.
+    fn sparse(len: usize, salt: u64) -> Vec<f32> {
+        let dense = fill(len, salt);
+        (0..len)
+            .map(|i| {
+                if (i * 7 + salt as usize).is_multiple_of(4) {
+                    dense[i]
+                } else {
+                    [0.0, -0.0][i % 2]
+                }
+            })
+            .collect()
+    }
+
+    /// `a`'s row lists, whatever its size and density.
+    fn lists(rows: usize, cols: usize, a: &[f32]) -> ZeroLists {
+        ZeroLists::build(rows, cols, a, a.iter().filter(|&&x| x != 0.0).count())
+    }
+
+    #[test]
+    fn zero_lists_hold_the_live_entries_in_order_and_transpose_to_the_columns() {
+        let (rows, cols) = (5, 9);
+        let a = sparse(rows * cols, 3);
+        let lists = lists(rows, cols, &a);
+        assert_eq!(lists.rows(), rows);
+        for r in 0..rows {
+            let (idx, val) = lists.row(r);
+            let want: Vec<(u16, f32)> = (0..cols)
+                .filter(|&c| a[r * cols + c] != 0.0)
+                .map(|c| (c as u16, a[r * cols + c]))
+                .collect();
+            let got: Vec<(u16, f32)> = idx.iter().copied().zip(val.iter().copied()).collect();
+            assert_eq!(got, want, "row {r}");
+        }
+        let mut at = vec![0.0f32; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                at[c * rows + r] = a[r * cols + c];
+            }
+        }
+        assert_eq!(lists.transpose(cols), Some(super::tests::lists(cols, rows, &at)));
+        let picked = ZeroLists::concat([(&lists, 4), (&lists, 0), (&lists, 4)].into_iter());
+        let mut rows_a = a[4 * cols..].to_vec();
+        rows_a.extend_from_slice(&a[..cols]);
+        rows_a.extend_from_slice(&a[4 * cols..]);
+        assert_eq!(picked, super::tests::lists(3, cols, &rows_a));
+    }
+
+    #[test]
+    fn dense_empty_and_too_wide_operands_get_no_lists() {
+        assert_eq!(ZeroLists::of_rows(64, 64, &fill(64 * 64, 1)), None, "six in seven live");
+        assert_eq!(ZeroLists::of_rows(0, 8, &[]), None);
+        assert_eq!(ZeroLists::of_rows(63, 64, &[0.0; 63 * 64]), None, "below MIN_LISTED");
+        assert!(ZeroLists::of_rows(64, 64, &[0.0; 64 * 64]).is_some());
+        assert_eq!(ZeroLists::of_rows(1, (1 << 16) + 1, &vec![0.0; (1 << 16) + 1]), None);
+        assert!(ZeroLists::of_rows(1, 1 << 16, &vec![0.0; 1 << 16]).is_some());
+        // Exactly half live is still listed.
+        assert!(ZeroLists::of_rows(64, 64, &[1.0, 0.0, 2.0, -0.0].repeat(1024)).is_some());
+    }
+
+    #[test]
+    fn listed_and_skipping_strips_are_bit_identical_to_reference() {
+        for (m, n, k) in
+            [(1, 64, 312), (3, 19, 40), (7, 192, KC + 9), (9, 16, 7), (100, 64, 312), (40, 3, 50)]
+        {
+            let a = sparse(m * k, (m + n) as u64);
+            let at = sparse(k * m, (m * n) as u64);
+            let b = fill(k * n, 9);
+            let rows = lists(m, k, &a);
+            let cols = lists(k, m, &at).transpose(m).unwrap();
+            for skip in [Skip::Zeros, Skip::Lists(&rows)] {
+                let mut f = vec![0.0f32; m * n];
+                super::matmul(GemmKernel::Fast, m, n, k, &a, &b, skip, &mut f);
+                assert_eq!(
+                    bits(&f),
+                    bits(&run(matmul, m, n, k, &a, &b, GemmKernel::Reference)),
+                    "{m}x{n}x{k}"
+                );
+            }
+            for skip in [Skip::Zeros, Skip::Lists(&cols)] {
+                let mut f = vec![0.0f32; m * n];
+                super::t_matmul(GemmKernel::Fast, m, n, k, &at, &b, skip, &mut f);
+                let r = run(t_matmul, m, n, k, &at, &b, GemmKernel::Reference);
+                assert_eq!(bits(&f), bits(&r), "t {m}x{n}x{k}");
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -8,29 +8,60 @@
 //! register-tiled fast kernel that are bit-identical by construction
 //! (`AGSC_GEMM=ref|fast` selects the process default).
 
-use crate::gemm::{self, GemmKernel};
+use crate::gemm::{self, GemmKernel, Route, Skip, ZeroLists};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
+use std::sync::OnceLock;
 
 /// A dense row-major matrix of `f32`; the default is `0 × 0`.
-#[derive(Default, PartialEq, Serialize, Deserialize)]
+///
+/// A matrix also remembers what the fast GEMM path learned about its
+/// contents: its zero index and whether it is all finite. Every
+/// mutation drops that memo, a clone starts without it, and equality and
+/// serde ignore it.
+#[derive(Default, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+    #[serde(skip)]
+    memo: Memo,
 }
 
+/// Facts about one matrix content that the fast kernels reuse across
+/// products, each computed the first time a product asks for it (from any
+/// thread: a second first user waits for the first). Every `&mut` path to
+/// the data goes through `Matrix::data_mut`, which drops them, so they
+/// always describe the current contents.
+#[derive(Default)]
+struct Memo {
+    /// Row lists, for `matmul` (`None`: too dense to list).
+    rows: OnceLock<Option<Box<ZeroLists>>>,
+    /// Column lists, for `t_matmul`: the transpose of the row lists.
+    cols: OnceLock<Option<Box<ZeroLists>>>,
+    /// No ±∞ and no NaN, so a zero operand against it is `±0`.
+    finite: OnceLock<bool>,
+}
+
+/// The memo is derived from the data, so a clone computes its own.
 /// `clone_from` reuses the destination's buffer, so a copy refilled every
 /// iteration (the trainer's NaN-guard snapshot) allocates nothing.
 impl Clone for Matrix {
     fn clone(&self) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.clone() }
+        Self::raw(self.rows, self.cols, self.data.clone())
     }
 
     fn clone_from(&mut self, src: &Self) {
         (self.rows, self.cols) = (src.rows, src.cols);
-        self.data.clone_from(&src.data);
+        self.data_mut().clone_from(&src.data);
+    }
+}
+
+/// Matrices are equal when their shapes and entries are.
+impl PartialEq for Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols, &self.data) == (other.rows, other.cols, &other.data)
     }
 }
 
@@ -45,14 +76,26 @@ impl fmt::Debug for Matrix {
 }
 
 impl Matrix {
+    /// A matrix of the given shape and row-major data, with no memo yet.
+    fn raw(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+        Self { rows, cols, data, memo: Memo::default() }
+    }
+
+    /// The data, for writing: drops the memo first. Every mutation of a
+    /// matrix goes through here.
+    fn data_mut(&mut self) -> &mut Vec<f32> {
+        self.memo = Memo::default();
+        &mut self.data
+    }
+
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
+        Self::raw(rows, cols, vec![0.0; rows * cols])
     }
 
     /// A `rows × cols` matrix filled with `value`.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: vec![value; rows * cols] }
+        Self::raw(rows, cols, vec![value; rows * cols])
     }
 
     /// Build from a row-major data vector.
@@ -68,7 +111,7 @@ impl Matrix {
             rows,
             cols
         );
-        Self { rows, cols, data }
+        Self::raw(rows, cols, data)
     }
 
     /// Build a single-row matrix from a slice.
@@ -85,7 +128,7 @@ impl Matrix {
             assert_eq!(r.len(), cols, "ragged rows in from_rows");
             data.extend_from_slice(r);
         }
-        Self { rows: rows.len(), cols, data }
+        Self::raw(rows.len(), cols, data)
     }
 
     /// Identity matrix of size `n`.
@@ -129,7 +172,7 @@ impl Matrix {
 
     /// Mutable row-major data slice.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.data_mut()
     }
 
     /// Borrow row `r` as a slice.
@@ -141,12 +184,62 @@ impl Matrix {
     /// Borrow row `r` mutably.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.data_mut()[r * cols..(r + 1) * cols]
     }
 
     /// Iterator over rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols)
+    }
+
+    /// Build this matrix's zero index now (its row lists, when it is
+    /// sparse enough to have them), so that the products that read it
+    /// later, on this thread or another, and the stacks and gathers that
+    /// derive theirs from it, find it built. Products build it themselves
+    /// on first use; this only chooses where that cost lands. The column
+    /// lists a `t_matmul` reads are transposed from it on first use.
+    pub fn index_zeros(&self) {
+        self.row_lists();
+    }
+
+    /// The row lists `matmul` runs when `self` is its left operand.
+    fn row_lists(&self) -> Option<&ZeroLists> {
+        let build = || ZeroLists::of_rows(self.rows, self.cols, &self.data).map(Box::new);
+        self.memo.rows.get_or_init(build).as_deref()
+    }
+
+    /// The column lists `t_matmul` runs when `self` is its left operand:
+    /// the row lists, transposed.
+    fn col_lists(&self) -> Option<&ZeroLists> {
+        let build = || self.row_lists().and_then(|r| r.transpose(self.cols)).map(Box::new);
+        self.memo.cols.get_or_init(build).as_deref()
+    }
+
+    /// Whether every entry is finite (no ±∞, no NaN).
+    fn is_finite(&self) -> bool {
+        *self.memo.finite.get_or_init(|| gemm::all_finite(&self.data))
+    }
+
+    /// What the fast kernels may leave out of `self` as the left operand
+    /// of a product into an `m×n` output with right operand `rhs`: zero
+    /// entries in a strip, or everything off the lists that `lists` picks
+    /// from `self`; either only once `rhs` is known finite.
+    fn skip<'s>(
+        &'s self,
+        rhs: &Matrix,
+        (m, n): (usize, usize),
+        lists: fn(&Matrix) -> Option<&ZeroLists>,
+    ) -> Skip<'s> {
+        match gemm::route(m, n) {
+            Route::Narrow => Skip::Dense,
+            Route::Strips if rhs.is_finite() => Skip::Zeros,
+            Route::Strips => Skip::Dense,
+            Route::Tiles => match lists(self) {
+                Some(l) if rhs.is_finite() => Skip::Lists(l),
+                _ => Skip::Dense,
+            },
+        }
     }
 
     /// Matrix product `self × rhs`, on the kernel `AGSC_GEMM` (or an
@@ -168,12 +261,17 @@ impl Matrix {
             "matmul shape mismatch: {}x{} × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        crate::flops::add(crate::flops::matmul_flops(self.rows, rhs.cols, self.cols));
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let (m, n, k) = (self.rows, rhs.cols, self.cols);
+        crate::flops::add(crate::flops::matmul_flops(m, n, k));
+        let mut out = vec![0.0; m * n];
         let timer = crate::flops::GemmTimer::start();
-        gemm::matmul(kernel, self.rows, rhs.cols, self.cols, &self.data, &rhs.data, &mut out.data);
+        let skip = match kernel {
+            GemmKernel::Reference => Skip::Dense,
+            GemmKernel::Fast => self.skip(rhs, (m, n), Self::row_lists),
+        };
+        gemm::matmul(kernel, m, n, k, &self.data, &rhs.data, skip, &mut out);
         timer.stop();
-        out
+        Self::raw(m, n, out)
     }
 
     /// `selfᵀ × rhs` without materialising the transpose.
@@ -188,20 +286,17 @@ impl Matrix {
             "t_matmul shape mismatch: ({}x{})ᵀ × {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        crate::flops::add(crate::flops::matmul_flops(self.cols, rhs.cols, self.rows));
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        let (m, n, k) = (self.cols, rhs.cols, self.rows);
+        crate::flops::add(crate::flops::matmul_flops(m, n, k));
+        let mut out = vec![0.0; m * n];
         let timer = crate::flops::GemmTimer::start();
-        gemm::t_matmul(
-            kernel,
-            self.cols,
-            rhs.cols,
-            self.rows,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-        );
+        let skip = match kernel {
+            GemmKernel::Reference => Skip::Dense,
+            GemmKernel::Fast => self.skip(rhs, (m, n), Self::col_lists),
+        };
+        gemm::t_matmul(kernel, m, n, k, &self.data, &rhs.data, skip, &mut out);
         timer.stop();
-        out
+        Self::raw(m, n, out)
     }
 
     /// `self × rhsᵀ` without materialising the transpose.
@@ -216,20 +311,13 @@ impl Matrix {
             "matmul_t shape mismatch: {}x{} × ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        crate::flops::add(crate::flops::matmul_flops(self.rows, rhs.rows, self.cols));
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let (m, n, k) = (self.rows, rhs.rows, self.cols);
+        crate::flops::add(crate::flops::matmul_flops(m, n, k));
+        let mut out = vec![0.0; m * n];
         let timer = crate::flops::GemmTimer::start();
-        gemm::matmul_t(
-            kernel,
-            self.rows,
-            rhs.rows,
-            self.cols,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-        );
+        gemm::matmul_t(kernel, m, n, k, &self.data, &rhs.data, &mut out);
         timer.stop();
-        out
+        Self::raw(m, n, out)
     }
 
     /// Materialised transpose.
@@ -247,18 +335,18 @@ impl Matrix {
     pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
         let data = self.data.iter().zip(rhs.data.iter()).map(|(a, b)| a * b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
+        Self::raw(self.rows, self.cols, data)
     }
 
     /// Apply `f` to every element, returning a new matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         let data = self.data.iter().map(|&x| f(x)).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
+        Self::raw(self.rows, self.cols, data)
     }
 
     /// Apply `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -315,18 +403,20 @@ impl Matrix {
 
     /// Fill with zeros, keeping the allocation.
     pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
+        self.data_mut().fill(0.0);
     }
 
     /// Accumulate `rhs * scale` into `self`.
     pub fn add_scaled(&mut self, rhs: &Matrix, scale: f32) {
         assert_eq!(self.shape(), rhs.shape(), "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data.iter()) {
             *a += b * scale;
         }
     }
 
-    /// Stack matrices vertically.
+    /// Stack matrices vertically. The stack's row lists are its sources'
+    /// lists end to end, so a stack of indexed matrices is indexed without
+    /// a scan (the sources build theirs if they have none yet).
     ///
     /// # Panics
     /// Panics if column counts differ or `mats` is empty.
@@ -339,7 +429,20 @@ impl Matrix {
             assert_eq!(m.cols, cols, "vstack column mismatch");
             data.extend_from_slice(&m.data);
         }
-        Matrix { rows, cols, data }
+        let out = Self::raw(rows, cols, data);
+        let sources = mats.iter().flat_map(|m| (0..m.rows).map(move |r| (*m, r)));
+        out.derive_row_lists(sources);
+        out
+    }
+
+    /// Set the row lists of `self`, whose row `i` is the `i`-th of
+    /// `sources` (a matrix and a row), from the sources' lists: `None` when
+    /// a source has none.
+    fn derive_row_lists<'a>(&self, sources: impl Iterator<Item = (&'a Matrix, usize)>) {
+        let rows: Option<Vec<_>> = sources.map(|(m, r)| Some((m.row_lists()?, r))).collect();
+        let lists = rows.map(|rows| Box::new(ZeroLists::concat(rows.into_iter())));
+        let fresh = self.memo.rows.set(lists);
+        debug_assert!(fresh.is_ok(), "a derived matrix has no lists of its own yet");
     }
 
     /// Append `rows` rows, given row-major in `data`, below the last row.
@@ -352,17 +455,20 @@ impl Matrix {
             self.cols = data.len() / rows;
         }
         assert_eq!(data.len(), rows * self.cols, "push_rows: ragged rows");
-        self.data.extend_from_slice(data);
+        self.data_mut().extend_from_slice(data);
         self.rows += rows;
     }
 
-    /// Gather selected rows into a new matrix.
+    /// Gather selected rows into a new matrix, whose row lists are the
+    /// selected rows' lists (built for `self` first if it has none).
     pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
         let mut data = Vec::with_capacity(idx.len() * self.cols);
         for &i in idx {
             data.extend_from_slice(self.row(i));
         }
-        Matrix { rows: idx.len(), cols: self.cols, data }
+        let out = Self::raw(idx.len(), self.cols, data);
+        out.derive_row_lists(idx.iter().map(|&i| (self, i)));
+        out
     }
 
     /// Clamp every element to `[lo, hi]`.
@@ -382,7 +488,8 @@ impl std::ops::Index<(usize, usize)> for Matrix {
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         debug_assert!(r < self.rows && c < self.cols);
-        &mut self.data[r * self.cols + c]
+        let cols = self.cols;
+        &mut self.data_mut()[r * cols + c]
     }
 }
 
@@ -391,7 +498,7 @@ impl Add<&Matrix> for &Matrix {
     fn add(self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "add shape mismatch");
         let data = self.data.iter().zip(rhs.data.iter()).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
+        Matrix::raw(self.rows, self.cols, data)
     }
 }
 
@@ -400,14 +507,14 @@ impl Sub<&Matrix> for &Matrix {
     fn sub(self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "sub shape mismatch");
         let data = self.data.iter().zip(rhs.data.iter()).map(|(a, b)| a - b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
+        Matrix::raw(self.rows, self.cols, data)
     }
 }
 
 impl AddAssign<&Matrix> for Matrix {
     fn add_assign(&mut self, rhs: &Matrix) {
         assert_eq!(self.shape(), rhs.shape(), "add_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs.data.iter()) {
             *a += b;
         }
     }

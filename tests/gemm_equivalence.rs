@@ -475,3 +475,268 @@ fn reused_scratch_never_leaks_into_a_later_product() {
     .join()
     .expect("the scratch-reuse sequence must match the reference");
 }
+
+// ---------------------------------------------------------------------------
+// Zero lists: the fast path's index of a mostly-zero left operand, kept by
+// the matrix and rebuilt after every mutation.
+// ---------------------------------------------------------------------------
+
+/// A mostly-zero `rows × cols` matrix whose rows have distinct live sets:
+/// row `r` is live where `(c·(r+2) + r) mod 5 == 0` (about a fifth of its
+/// entries), every seventh row and every eleventh column are all zeros,
+/// and the blanks alternate `+0.0` and `-0.0`.
+fn fill_listed(rows: usize, cols: usize, salt: u64) -> Matrix {
+    let dense = fill(rows, cols, salt);
+    let live =
+        |r: usize, c: usize| (c * (r + 2) + r).is_multiple_of(5) && r % 7 != 3 && c % 11 != 4;
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols)
+            .map(|i| {
+                let (r, c) = (i / cols, i % cols);
+                if live(r, c) {
+                    dense.as_slice()[i] + 2.0
+                } else {
+                    [0.0, -0.0][i % 2]
+                }
+            })
+            .collect(),
+    )
+}
+
+/// `matmul` and `t_matmul` of sparse left operands (which get zero lists)
+/// against `b`, fast against reference, bitwise.
+fn assert_listed_products_match(m: usize, n: usize, k: usize, salt: u64) {
+    let a = fill_listed(m, k, salt);
+    let at = fill_listed(k, m, salt ^ 1);
+    let b = fill(k, n, salt ^ 2);
+    let ctx = format!("{m}x{n}x{k}");
+    assert_eq!(
+        bits(&a.matmul_with(&b, GemmKernel::Fast)),
+        bits(&a.matmul_with(&b, GemmKernel::Reference)),
+        "listed matmul {ctx}"
+    );
+    assert_eq!(
+        bits(&at.t_matmul_with(&b, GemmKernel::Fast)),
+        bits(&at.t_matmul_with(&b, GemmKernel::Reference)),
+        "listed t_matmul {ctx}"
+    );
+}
+
+#[test]
+fn listed_products_are_bit_identical_across_widths_and_depths() {
+    // Widths the critics run (16, 64), several register blocks (192), and
+    // one that is no multiple of 8; depths inside one KC stripe and past it.
+    for n in [16, 64, 192, 13] {
+        for k in [7, 100, 312, KC + 40] {
+            for m in [8, 50, 100] {
+                assert_listed_products_match(m, n, k, (m * 7 + n * 3 + k) as u64);
+            }
+        }
+    }
+}
+
+#[test]
+fn listed_products_read_the_right_list_on_every_call() {
+    // One left operand, reused as the memo keeps its lists: the forward and
+    // weight-gradient products again and again, and against a second `b`.
+    let a = fill_listed(100, 312, 1);
+    for salt in 0..3 {
+        let b = fill(312, 64, salt);
+        let dy = fill(100, 64, salt + 10);
+        for _ in 0..2 {
+            assert_eq!(
+                bits(&a.matmul_with(&b, GemmKernel::Fast)),
+                bits(&a.matmul_with(&b, GemmKernel::Reference))
+            );
+            assert_eq!(
+                bits(&a.t_matmul_with(&dy, GemmKernel::Fast)),
+                bits(&a.t_matmul_with(&dy, GemmKernel::Reference))
+            );
+        }
+    }
+}
+
+#[test]
+fn non_finite_rhs_behind_listed_zeros_falls_back_to_dense() {
+    // ±∞ and NaN in `b` exactly where the left operand is zero: a kernel that
+    // skipped those terms would miss `0·∞ = NaN`.
+    for (m, n, k) in [(100, 64, 312), (50, 13, KC + 40), (9, 192, 20)] {
+        let a = fill_listed(m, k, 3);
+        let at = fill_listed(k, m, 4);
+        let b = poison(&fill(k, n, 5), &zero_depths(&a, false), false);
+        let b_rows = poison(&fill(k, n, 6), &zero_depths(&at, true), false);
+        let fast = a.matmul_with(&b, GemmKernel::Fast);
+        assert!(fast.as_slice().iter().any(|v| v.is_nan()), "the poison must reach the output");
+        let ctx = format!("{m}x{n}x{k}");
+        assert_nan_identical(&fast, &a.matmul_with(&b, GemmKernel::Reference), &ctx);
+        let fast_t = at.t_matmul_with(&b_rows, GemmKernel::Fast);
+        assert!(fast_t.as_slice().iter().any(|v| v.is_nan()), "the poison must reach the output");
+        assert_nan_identical(&fast_t, &at.t_matmul_with(&b_rows, GemmKernel::Reference), &ctx);
+    }
+}
+
+#[test]
+fn small_batch_strips_skip_zero_operands_bit_identically() {
+    // Batch 1–7 rows with zero entries, against finite and non-finite `b`.
+    for m in 1..=7 {
+        for (n, k) in [(16, 5), (64, 312), (13, KC + 9), (3, 40)] {
+            let salt = (m * 100 + n + k) as u64;
+            let a = fill_listed(m, k, salt);
+            let at = fill_listed(k, m, salt ^ 1);
+            let b = fill(k, n, salt ^ 2);
+            let ctx = format!("{m}x{n}x{k}");
+            assert_eq!(
+                bits(&a.matmul_with(&b, GemmKernel::Fast)),
+                bits(&a.matmul_with(&b, GemmKernel::Reference)),
+                "strip matmul {ctx}"
+            );
+            assert_eq!(
+                bits(&at.t_matmul_with(&b, GemmKernel::Fast)),
+                bits(&at.t_matmul_with(&b, GemmKernel::Reference)),
+                "strip t_matmul {ctx}"
+            );
+            let bad = poison(&b, &zero_depths(&a, false), false);
+            assert_nan_identical(
+                &a.matmul_with(&bad, GemmKernel::Fast),
+                &a.matmul_with(&bad, GemmKernel::Reference),
+                &format!("strip matmul, non-finite b, {ctx}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn small_batch_matmul_t_is_bit_identical() {
+    // `dY·Wᵀ` at batch 1–7: one ascending-k dot product per output.
+    for m in 1..=7 {
+        for (n, k) in [(64, 312), (312, 64), (13, 3), (1, 40), (9, KC + 1)] {
+            let a = fill(m, k, (m + n) as u64);
+            let b = fill(n, k, (m * k) as u64);
+            assert_eq!(
+                bits(&a.matmul_t_with(&b, GemmKernel::Fast)),
+                bits(&a.matmul_t_with(&b, GemmKernel::Reference)),
+                "matmul_t {m}x{n}x{k}"
+            );
+        }
+    }
+}
+
+#[test]
+fn stacked_and_gathered_operands_match_reference() {
+    // `vstack` and `gather_rows` derive their lists from their sources':
+    // sparse sources, a dense one among them (no lists), and repeats.
+    let parts = [fill_listed(40, 312, 1), fill_listed(30, 312, 2), fill_listed(30, 312, 3)];
+    let dense = fill(20, 312, 4);
+    let b = fill(312, 64, 5);
+    let sparse = Matrix::vstack(&[&parts[0], &parts[1], &parts[2]]);
+    let mixed = Matrix::vstack(&[&parts[0], &dense, &parts[2]]);
+    for stacked in [&sparse, &mixed] {
+        let picks: Vec<usize> = (0..stacked.rows()).rev().step_by(3).chain([0, 0, 7]).collect();
+        let gathered = stacked.gather_rows(&picks);
+        let dy = fill(gathered.rows(), 64, 6);
+        for x in [stacked, &gathered] {
+            assert_eq!(
+                bits(&x.matmul_with(&b, GemmKernel::Fast)),
+                bits(&x.matmul_with(&b, GemmKernel::Reference))
+            );
+        }
+        assert_eq!(
+            bits(&gathered.t_matmul_with(&dy, GemmKernel::Fast)),
+            bits(&gathered.t_matmul_with(&dy, GemmKernel::Reference))
+        );
+    }
+}
+
+/// `a` after one mutation, and the fast products on it against the
+/// reference on the same content: a stale zero index would read the old
+/// content's lists.
+fn assert_mutation_is_seen(what: &str, mutate: impl Fn(&mut Matrix)) {
+    let mut a = fill_listed(80, 60, 9);
+    let b = fill(60, 16, 10);
+    let dy = fill(80, 16, 11);
+    // Build the index (and the column lists) on the old content.
+    let _ = a.matmul_with(&b, GemmKernel::Fast);
+    let _ = a.t_matmul_with(&dy, GemmKernel::Fast);
+    mutate(&mut a);
+    assert_eq!(a.rows(), 80, "{what}: the mutations keep the shape");
+    assert_eq!(
+        bits(&a.matmul_with(&b, GemmKernel::Fast)),
+        bits(&a.matmul_with(&b, GemmKernel::Reference)),
+        "{what}: matmul"
+    );
+    assert_eq!(
+        bits(&a.t_matmul_with(&dy, GemmKernel::Fast)),
+        bits(&a.t_matmul_with(&dy, GemmKernel::Reference)),
+        "{what}: t_matmul"
+    );
+}
+
+#[test]
+fn every_mutation_drops_the_zero_index() {
+    // Each mutation turns zeros live (and some live entries to zero), so a
+    // kept index would miss or invent terms.
+    let other = fill_listed(80, 60, 12);
+    assert_mutation_is_seen("as_mut_slice", |a| a.as_mut_slice()[3] = 1.5);
+    assert_mutation_is_seen("row_mut", |a| a.row_mut(3).fill(0.25));
+    assert_mutation_is_seen("index_mut", |a| a[(10, 4)] = -2.0);
+    assert_mutation_is_seen("map_inplace", |a| a.map_inplace(|x| if x == 0.0 { 0.5 } else { 0.0 }));
+    assert_mutation_is_seen("fill_zero", |a| a.fill_zero());
+    assert_mutation_is_seen("add_scaled", |a| a.add_scaled(&other, 0.5));
+    assert_mutation_is_seen("add_assign", |a| *a += &other);
+    assert_mutation_is_seen("clone_from", |a| a.clone_from(&other));
+    assert_mutation_is_seen("push_rows", |a| {
+        // Same shape afterwards: the first 79 rows of `other`, then one more.
+        let mut grown = Matrix::default();
+        grown.push_rows(79, &other.as_slice()[..79 * 60]);
+        let _ = grown.matmul_with(&fill(60, 16, 1), GemmKernel::Fast);
+        grown.push_rows(1, &[0.75; 60]);
+        *a = grown;
+    });
+}
+
+#[test]
+fn two_threads_racing_to_first_use_agree_with_reference() {
+    // Both threads find the matrix unindexed; one builds the lists while
+    // the other waits, and both products read the same finished lists.
+    for round in 0..8 {
+        let a = fill_listed(100, 312, round);
+        let b = fill(312, 64, round + 1);
+        let dy = fill(100, 64, round + 2);
+        let want = (
+            bits(&a.matmul_with(&b, GemmKernel::Reference)),
+            bits(&a.t_matmul_with(&dy, GemmKernel::Reference)),
+        );
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                (
+                    bits(&a.matmul_with(&b, GemmKernel::Fast)),
+                    bits(&a.t_matmul_with(&dy, GemmKernel::Fast)),
+                )
+            };
+            let other = s.spawn(run);
+            assert_eq!(run(), want, "round {round}: this thread");
+            assert_eq!(other.join().unwrap(), want, "round {round}: the other thread");
+        });
+    }
+}
+
+#[test]
+fn poisoning_one_weight_clears_its_finite_memo() {
+    // A batch-1 strip skips `x`'s zeros once `w` is known finite; a NaN
+    // written into `w` behind one of those zeros must reach the output.
+    let x = fill_listed(1, 312, 3);
+    let mut w = fill(312, 64, 4);
+    let _ = x.matmul_with(&w, GemmKernel::Fast);
+    let _ = fill_listed(100, 312, 5).matmul_with(&w, GemmKernel::Fast);
+    let zero = (0..312).find(|&c| x[(0, c)] == 0.0).expect("x has zeros");
+    w[(zero, 7)] = f32::NAN;
+    for x in [x, fill_listed(100, 312, 5)] {
+        let fast = x.matmul_with(&w, GemmKernel::Fast);
+        assert!(fast.as_slice().iter().any(|v| v.is_nan()), "the NaN must reach the output");
+        assert_nan_identical(&fast, &x.matmul_with(&w, GemmKernel::Reference), "poisoned weight");
+    }
+}
